@@ -1,16 +1,31 @@
 /**
  * @file
- * google-benchmark microbenchmarks: predict/update/history throughput
- * of every predictor kind at several sizes, and the synthetic
- * workload generator's record throughput. These are engineering
- * benchmarks for the simulator itself, not paper reproductions.
+ * google-benchmark microbenchmarks: throughput of every registered
+ * predictor over one materialized trace, and the synthetic workload
+ * generator's record throughput. These are engineering benchmarks for
+ * the simulator itself, not paper reproductions.
+ *
+ * The predictor list is the registry, so a newly registered predictor
+ * is measured with no edit here. Per predictor (at its default
+ * budget):
+ *  - <name>/tracked:   simulateReplay with collision tracking, the
+ *                      path experiment results take
+ *  - <name>/untracked: the same with trackCollisions off, which only
+ *                      the devirtualized kernels honour (registered
+ *                      for kernel-capable predictors only)
+ * Both run the default dispatch: batched kernels where the predictor
+ * has them, record-at-a-time kernels or the virtual loop otherwise.
+ * Items processed are simulated branches.
  */
 
 #include <benchmark/benchmark.h>
 
-#include "predictor/factory.hh"
-#include "support/random.hh"
+#include <string>
+
+#include "core/engine.hh"
+#include "predictor/registry.hh"
 #include "trace/branch_record.hh"
+#include "trace/replay_buffer.hh"
 #include "workload/specint.hh"
 
 namespace
@@ -18,38 +33,31 @@ namespace
 
 using namespace bpsim;
 
-/** A fixed pseudo-random branch stream shared by the benchmarks. */
-const std::vector<std::pair<Addr, bool>> &
-stimulus()
+/** One materialized gcc/ref trace shared by the benchmarks. */
+const ReplayBuffer &
+trace()
 {
-    static const auto data = [] {
-        std::vector<std::pair<Addr, bool>> records;
-        Rng rng(99);
-        records.reserve(1 << 14);
-        for (int i = 0; i < (1 << 14); ++i) {
-            records.emplace_back(0x120000000ULL +
-                                     4 * rng.nextBelow(4096),
-                                 rng.chance(0.6));
-        }
-        return records;
+    static const ReplayBuffer buffer = [] {
+        SyntheticProgram program =
+            makeSpecProgram(SpecProgram::Gcc, InputSet::Ref);
+        return ReplayBuffer::materialize(program, Count{1} << 18);
     }();
-    return data;
+    return buffer;
 }
 
 void
-predictorThroughput(benchmark::State &state, const std::string &spec)
+predictorThroughput(benchmark::State &state, const PredictorInfo *info,
+                    bool track)
 {
-    auto predictor = makePredictor(spec);
-    const auto &records = stimulus();
-    std::size_t i = 0;
+    auto predictor = info->make(info->defaultBytes);
+    SimOptions options;
+    options.trackCollisions = track;
     for (auto _ : state) {
-        const auto &[pc, taken] = records[i++ & (records.size() - 1)];
-        benchmark::DoNotOptimize(predictor->predict(pc));
-        predictor->update(pc, taken);
-        predictor->updateHistory(taken);
+        const SimStats stats = simulateReplay(*predictor, trace(), options);
+        benchmark::DoNotOptimize(stats.mispredictions);
     }
     state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()));
+        static_cast<std::int64_t>(state.iterations() * trace().size()));
 }
 
 void
@@ -68,16 +76,27 @@ workloadThroughput(benchmark::State &state)
 
 } // namespace
 
-BENCHMARK_CAPTURE(predictorThroughput, bimodal_8k, "bimodal:8192");
-BENCHMARK_CAPTURE(predictorThroughput, ghist_8k, "ghist:8192");
-BENCHMARK_CAPTURE(predictorThroughput, gshare_8k, "gshare:8192");
-BENCHMARK_CAPTURE(predictorThroughput, bimode_8k, "bimode:8192");
-BENCHMARK_CAPTURE(predictorThroughput, gskew2bc_8k, "2bcgskew:8192");
-BENCHMARK_CAPTURE(predictorThroughput, gshare_64k, "gshare:65536");
-BENCHMARK_CAPTURE(predictorThroughput, gskew2bc_64k, "2bcgskew:65536");
-BENCHMARK_CAPTURE(predictorThroughput, gselect_8k, "gselect:8192");
-BENCHMARK_CAPTURE(predictorThroughput, agree_8k, "agree:8192");
-BENCHMARK_CAPTURE(predictorThroughput, tournament_8k, "tournament:8192");
-BENCHMARK(workloadThroughput);
+int
+main(int argc, char **argv)
+{
+    for (const PredictorInfo *info : PredictorRegistry::instance().all()) {
+        benchmark::RegisterBenchmark(
+            (info->name + "/tracked").c_str(), predictorThroughput, info,
+            true)
+            ->Unit(benchmark::kMillisecond);
+        if (info->kernelCapable) {
+            benchmark::RegisterBenchmark(
+                (info->name + "/untracked").c_str(), predictorThroughput,
+                info, false)
+                ->Unit(benchmark::kMillisecond);
+        }
+    }
+    benchmark::RegisterBenchmark("workload/gcc", workloadThroughput);
 
-BENCHMARK_MAIN();
+    benchmark::Initialize(&argc, argv);
+    if (benchmark::ReportUnrecognizedArguments(argc, argv))
+        return 1;
+    benchmark::RunSpecifiedBenchmarks();
+    benchmark::Shutdown();
+    return 0;
+}

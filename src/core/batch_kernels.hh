@@ -43,6 +43,8 @@
 #include "predictor/bimode.hh"
 #include "predictor/ghist.hh"
 #include "predictor/gshare.hh"
+#include "predictor/perceptron.hh"
+#include "predictor/tage.hh"
 #include "predictor/two_bc_gskew.hh"
 #include "profile/branch_profile.hh"
 #include "support/bits.hh"
@@ -102,6 +104,18 @@ template <> struct BatchTraits<TwoBcGskew>
 namespace batch
 {
 
+/**
+ * Collision bookkeeping of a batch run: none, the aggregate
+ * CollisionStats, or those plus per-context attribution into the
+ * ContextAliasSink the predictor's tables carry (scenario cells).
+ */
+enum class Tracking
+{
+    Off,
+    Stats,
+    Contexts,
+};
+
 /** Dense hint-code bits (0 = no hint for the site). */
 inline constexpr std::uint8_t hintPresentBit = 2;
 inline constexpr std::uint8_t hintTakenBit = 1;
@@ -116,20 +130,115 @@ inline constexpr std::uint8_t hintTakenBit = 1;
 struct SiteTables
 {
     /** Bimodal/gshare PC index or fold; bi-mode choice index; gskew
-     * bimodal-bank index. */
+     * bimodal-bank index; TAGE base index; perceptron PC fold. */
     std::vector<std::uint32_t> primary;
 
     /** Bi-mode direction-table PC fold; gskew bank-0 PC skew chain
-     * H(v1). */
+     * H(v1); TAGE bank-index PC fold. */
     std::vector<std::uint32_t> secondary;
 
     /** Gskew bank-1 PC skew chain pre-mixed with its parity source:
-     * H(H(v1)) ^ v1. */
+     * H(H(v1)) ^ v1; TAGE tag PC fold. */
     std::vector<std::uint32_t> tertiary;
 
     /** Gskew meta-bank PC fold. */
     std::vector<std::uint32_t> quaternary;
 };
+
+} // namespace batch
+
+/**
+ * The tagged family: the batch kernels evolve a per-batch copy of the
+ * predictor's history and folds (History) and compute each record's
+ * table coordinates (Coords) from it with the predictor's own index
+ * functions, hoisting the PC folds into SiteTables.
+ */
+template <> struct BatchTraits<Tage>
+{
+    using History = Tage::HistoryFolds;
+    using Coords = Tage::Coords;
+
+    static History &history(Tage &p) { return p.folds; }
+    static CounterTable &base(Tage &p) { return p.base; }
+    static CounterTable &bankPred(Tage &p, unsigned b)
+    {
+        return p.banks[b].pred;
+    }
+    static std::uint8_t *bankTags(Tage &p, unsigned b)
+    {
+        return p.banks[b].tags.data();
+    }
+    static std::uint8_t *bankUseful(Tage &p, unsigned b)
+    {
+        return p.banks[b].useful.data();
+    }
+    static BitCount bankIndexBits(const Tage &p) { return p.bankIndexBits; }
+
+    /** Tage::allocate(), for a misprediction the kernel applied. */
+    static void
+    allocate(Tage &p, int provider, const Coords &at, bool taken)
+    {
+        p.allocate(provider, at, taken);
+    }
+
+    /** Tage::countUpdate(): the periodic useful-counter aging. */
+    static void countUpdate(Tage &p) { p.countUpdate(); }
+
+    /** Coordinates from the per-site PC parts (see SiteTables). */
+    static void
+    coords(const Tage &p, const History &h, const batch::SiteTables &t,
+           std::uint32_t site, Coords &out)
+    {
+        p.coordsFor(t.primary[site], t.secondary[site], t.tertiary[site],
+                    h, out);
+    }
+
+    static void
+    coords(const Tage &p, const History &h, std::uint64_t pc_index,
+           Coords &out)
+    {
+        p.coordsFor(pc_index & p.base.indexMask(),
+                    foldBits(pc_index, p.bankIndexBits),
+                    foldBits(pc_index, Tage::tagBits), h, out);
+    }
+};
+
+template <> struct BatchTraits<HashedPerceptron>
+{
+    using History = HashedPerceptron::HistoryFolds;
+    using Coords = HashedPerceptron::Indices;
+
+    static History &history(HashedPerceptron &p) { return p.folds; }
+    static CounterTable &table(HashedPerceptron &p, unsigned t)
+    {
+        return p.tables[t];
+    }
+    static BitCount indexBits(const HashedPerceptron &p)
+    {
+        return p.indexBits;
+    }
+    static int threshold(const HashedPerceptron &p)
+    {
+        return p.trainingThreshold;
+    }
+
+    static void
+    coords(const HashedPerceptron &p, const History &h,
+           const batch::SiteTables &t, std::uint32_t site, Coords &out)
+    {
+        p.indicesFor(t.primary[site], h, out);
+    }
+
+    static void
+    coords(const HashedPerceptron &p, const History &h,
+           std::uint64_t pc_index, Coords &out)
+    {
+        p.indicesFor(foldBits(pc_index, p.indexBits), h, out);
+    }
+};
+
+namespace batch
+{
 
 /** Build the per-site tables for @p predictor over @p sites. */
 template <typename P>
@@ -189,6 +298,27 @@ buildSiteTables(P &predictor, const SiteIndex &sites)
             tables.quaternary[s] = static_cast<std::uint32_t>(
                 foldBits(pcIndexOf(s), meta.indexBits()));
         }
+    } else if constexpr (std::is_same_v<P, Tage>) {
+        const CounterTable &base = BatchTraits<P>::base(predictor);
+        const BitCount bankBits =
+            BatchTraits<P>::bankIndexBits(predictor);
+        tables.primary.resize(count);
+        tables.secondary.resize(count);
+        tables.tertiary.resize(count);
+        for (std::uint32_t s = 0; s < count; ++s) {
+            tables.primary[s] = static_cast<std::uint32_t>(
+                base.indexFor(pcIndexOf(s)));
+            tables.secondary[s] = static_cast<std::uint32_t>(
+                foldBits(pcIndexOf(s), bankBits));
+            tables.tertiary[s] = static_cast<std::uint32_t>(
+                foldBits(pcIndexOf(s), Tage::tagBits));
+        }
+    } else if constexpr (std::is_same_v<P, HashedPerceptron>) {
+        const BitCount bits = BatchTraits<P>::indexBits(predictor);
+        tables.primary.resize(count);
+        for (std::uint32_t s = 0; s < count; ++s)
+            tables.primary[s] = static_cast<std::uint32_t>(
+                foldBits(pcIndexOf(s), bits));
     }
     // Ghist indexes purely by history: nothing to hoist.
     (void)predictor;
@@ -198,7 +328,9 @@ buildSiteTables(P &predictor, const SiteIndex &sites)
 /**
  * One gang segment: @p n same-type members stepping through records
  * [from, to) of the shared walk. Hint codes are per member (all-zero
- * arrays for members without hints); stats flush per member.
+ * arrays for members without hints); stats flush per member. Members
+ * carry no ContextAliasSink: per-context attribution runs through
+ * SingleArgs.
  */
 template <typename P>
 struct GangArgs
@@ -217,36 +349,27 @@ struct GangArgs
 };
 
 /**
- * One dense-profile segment: a single profiling sim accumulating
- * per-site BranchProfile counts (site-indexed array, flushed to the
- * ProfileDb when the pass finishes).
+ * One single-sim segment. Without a site index (@p siteOf null) it is
+ * the plain dynamic shape (microbench, CLI, per-cell runs). With one,
+ * it may add hint codes (a combined predictor's static hints, applied
+ * under @p policy) and a dense per-site profile accumulator (flushed
+ * to the ProfileDb when the pass finishes); both need @p siteTables.
+ * Collision tracking follows @p track, with per-context attribution
+ * whenever the predictor's tables carry a ContextAliasSink.
  */
 template <typename P>
-struct DenseArgs
+struct SingleArgs
 {
     P *predictor = nullptr;
     const SiteTables *siteTables = nullptr;
+    const std::uint8_t *hintCodes = nullptr;
     BranchProfile *profiles = nullptr;
     SimStats *stats = nullptr;
     const ReplayBuffer *buffer = nullptr;
     const std::uint32_t *siteOf = nullptr;
     Count from = 0;
     Count to = 0;
-    bool track = true;
-};
-
-/**
- * One plain segment: a single dynamic sim, no sites, no hints, no
- * profile (the microbench / CLI / warmup shape).
- */
-template <typename P>
-struct PlainArgs
-{
-    P *predictor = nullptr;
-    SimStats *stats = nullptr;
-    const ReplayBuffer *buffer = nullptr;
-    Count from = 0;
-    Count to = 0;
+    ShiftPolicy policy = ShiftPolicy::NoShift;
     bool track = true;
 };
 
@@ -255,16 +378,14 @@ struct PlainArgs
 /**
  * The batch kernels are compiled once per instruction-set target from
  * core/batch_kernels_impl.hh; each namespace below is one translation
- * unit's entry points (explicitly instantiated there for the five
- * paper predictors).
+ * unit's entry points (explicitly instantiated there for every type
+ * hasBatchKernels names).
  */
 namespace kernels_scalar
 {
 template <typename P> void runGangBatch(const batch::GangArgs<P> &args);
 template <typename P>
-void runDenseBatch(const batch::DenseArgs<P> &args);
-template <typename P>
-void runPlainBatch(const batch::PlainArgs<P> &args);
+void runSingleBatch(const batch::SingleArgs<P> &args);
 } // namespace kernels_scalar
 
 #if defined(BPSIM_HAVE_AVX2_KERNELS)
@@ -272,20 +393,17 @@ namespace kernels_avx2
 {
 template <typename P> void runGangBatch(const batch::GangArgs<P> &args);
 template <typename P>
-void runDenseBatch(const batch::DenseArgs<P> &args);
-template <typename P>
-void runPlainBatch(const batch::PlainArgs<P> &args);
+void runSingleBatch(const batch::SingleArgs<P> &args);
 } // namespace kernels_avx2
 #endif
 
 /**
  * Whether batched kernel instantiations exist for predictor type
- * @p P. The impl translation units explicitly instantiate the batch
- * kernels for the five paper predictors only; a kernel-visitable type
- * without this trait (e.g. Tage, HashedPerceptron — multi-bank
- * allocation and weight sums don't fit the prepare/apply batch split)
- * gets an empty BatchKernelSet from batchKernelsFor and the engine
- * falls back to the record-at-a-time reference kernels.
+ * @p P: the five paper predictors and the tagged family. A
+ * kernel-visitable type without this trait (agree, whose per-branch
+ * bias bits live in a hash map) gets an empty BatchKernelSet from
+ * batchKernelsFor and the engine runs the record-at-a-time reference
+ * kernels.
  */
 template <typename P> inline constexpr bool hasBatchKernels = false;
 template <> inline constexpr bool hasBatchKernels<Bimodal> = true;
@@ -293,14 +411,15 @@ template <> inline constexpr bool hasBatchKernels<Ghist> = true;
 template <> inline constexpr bool hasBatchKernels<Gshare> = true;
 template <> inline constexpr bool hasBatchKernels<BiMode> = true;
 template <> inline constexpr bool hasBatchKernels<TwoBcGskew> = true;
+template <> inline constexpr bool hasBatchKernels<Tage> = true;
+template <> inline constexpr bool hasBatchKernels<HashedPerceptron> = true;
 
 /** The kernel entry points one SimdLevel dispatches to. */
 template <typename P>
 struct BatchKernelSet
 {
     void (*gang)(const batch::GangArgs<P> &) = nullptr;
-    void (*dense)(const batch::DenseArgs<P> &) = nullptr;
-    void (*plain)(const batch::PlainArgs<P> &) = nullptr;
+    void (*single)(const batch::SingleArgs<P> &) = nullptr;
 
     /** True when a batched level (not Off) is selected. */
     explicit operator bool() const { return gang != nullptr; }
@@ -324,8 +443,7 @@ batchKernelsFor(SimdLevel level)
 #if defined(BPSIM_HAVE_AVX2_KERNELS)
           case SimdLevel::Avx2:
             set.gang = &kernels_avx2::runGangBatch<P>;
-            set.dense = &kernels_avx2::runDenseBatch<P>;
-            set.plain = &kernels_avx2::runPlainBatch<P>;
+            set.single = &kernels_avx2::runSingleBatch<P>;
             break;
 #else
           case SimdLevel::Avx2:
@@ -333,8 +451,7 @@ batchKernelsFor(SimdLevel level)
           case SimdLevel::Scalar:
           case SimdLevel::Neon:
             set.gang = &kernels_scalar::runGangBatch<P>;
-            set.dense = &kernels_scalar::runDenseBatch<P>;
-            set.plain = &kernels_scalar::runPlainBatch<P>;
+            set.single = &kernels_scalar::runSingleBatch<P>;
             break;
         }
     } else {

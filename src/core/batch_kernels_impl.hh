@@ -31,6 +31,8 @@
 #include "core/batch_kernels.hh"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -98,21 +100,25 @@ skewHinvFast(std::uint64_t x, BitCount bits, std::uint64_t table_mask)
 /** Raw structure-of-arrays view of one CounterTable. */
 struct LaneTable
 {
+    LaneTable() = default;
+
     explicit LaneTable(CounterTable &table)
         : cnt(table.counterData()), tags(table.tagData()),
           mask(table.indexMask()), src(&table),
-          msb(table.counterMsb()), maxv(table.counterMax()),
+          sink(table.attachedAliasSink()), msb(table.counterMsb()),
+          maxv(table.counterMax()),
           prefetch(table.indexMask() + 1 >= prefetchMinEntries)
     {
     }
 
-    std::uint8_t *cnt;
-    Addr *tags;
-    std::size_t mask;
-    CounterTable *src;
-    std::uint8_t msb;
-    std::uint8_t maxv;
-    bool prefetch;
+    std::uint8_t *cnt = nullptr;
+    Addr *tags = nullptr;
+    std::size_t mask = 0;
+    CounterTable *src = nullptr;
+    ContextAliasSink *sink = nullptr;
+    std::uint8_t msb = 0;
+    std::uint8_t maxv = 0;
+    bool prefetch = false;
 };
 
 /**
@@ -142,18 +148,46 @@ struct LaneStats
     }
 };
 
+using batch::Tracking;
+
 /**
- * One instrumented table access: tag check, tag write and classified
- * collision accounting, compiled out entirely when @p Track is off.
+ * The tag half of an instrumented table access: check the entry's
+ * tag against @p pc and write @p pc. Under Tracking::Contexts a
+ * collision is also attributed to its (victim, aggressor) context
+ * pair, classified in the same step: the outcome is already known at
+ * apply time, which is what the sink's note/classify flush protocol
+ * reconstructs on the record-at-a-time path. @p T must not be Off.
  *
  * @return 1 when the access collided, else 0
  */
-template <bool Track>
+template <Tracking T>
+inline std::uint32_t
+checkTag(const LaneTable &table, std::size_t index, Addr pc, bool correct)
+{
+    const Addr tag = table.tags[index];
+    const std::uint32_t collided =
+        static_cast<std::uint32_t>(tag != CounterTable::invalidTag) &
+        static_cast<std::uint32_t>(tag != pc);
+    table.tags[index] = pc;
+    if constexpr (T == Tracking::Contexts) {
+        if (collided != 0)
+            table.sink->noteClassified(pc, tag, correct);
+    }
+    return collided;
+}
+
+/**
+ * One instrumented table access: tag check, tag write and classified
+ * collision accounting, compiled out entirely when @p T is Off.
+ *
+ * @return 1 when the access collided, else 0
+ */
+template <Tracking T>
 inline std::uint32_t
 touchLane(const LaneTable &table, LaneStats &stats, std::size_t index,
           Addr pc, bool correct)
 {
-    if constexpr (!Track) {
+    if constexpr (T == Tracking::Off) {
         (void)table;
         (void)stats;
         (void)index;
@@ -162,11 +196,8 @@ touchLane(const LaneTable &table, LaneStats &stats, std::size_t index,
         return 0;
     } else {
         ++stats.lookups;
-        const Addr tag = table.tags[index];
         const std::uint32_t collided =
-            static_cast<std::uint32_t>(tag != CounterTable::invalidTag) &
-            static_cast<std::uint32_t>(tag != pc);
-        table.tags[index] = pc;
+            checkTag<T>(table, index, pc, correct);
         stats.collisions += collided;
         stats.constructive +=
             collided & static_cast<std::uint32_t>(correct);
@@ -175,6 +206,53 @@ touchLane(const LaneTable &table, LaneStats &stats, std::size_t index,
         return collided;
     }
 }
+
+/**
+ * Collision statistics of @p Tables tables that every applied record
+ * looks up once each (the tagged family's banks and weight tables):
+ * one histogram bump per record, of the record's outcome and the mask
+ * of tables whose tag check collided, split into each table's
+ * CollisionStats when the segment flushes. Equal to per-access
+ * counting (touchLane), at one memory update per record instead of
+ * four per table.
+ */
+template <unsigned Tables>
+class MaskStats
+{
+  public:
+    /** Count one record: @p collided has bit t set when table t's
+     * access collided; @p correct is the overall outcome. */
+    void
+    note(unsigned collided, bool correct)
+    {
+        ++counts[(correct ? 1u << Tables : 0u) | collided];
+    }
+
+    /** Add the counts into table t's stats (@p tables in bit order)
+     * and start over. */
+    void
+    flush(CounterTable *const *tables)
+    {
+        constexpr unsigned masks = 1u << Tables;
+        for (unsigned t = 0; t < Tables; ++t) {
+            CollisionStats &stats = tables[t]->statsRef();
+            for (unsigned m = 0; m < masks; ++m) {
+                const Count wrong = counts[m];
+                const Count right = counts[masks | m];
+                stats.lookups += wrong + right;
+                if ((m >> t) & 1) {
+                    stats.collisions += wrong + right;
+                    stats.constructive += right;
+                    stats.destructive += wrong;
+                }
+            }
+        }
+        counts.fill(0);
+    }
+
+  private:
+    std::array<Count, 2u << Tables> counts{};
+};
 
 /** What one applied record reports back to the driver. */
 struct ApplyResult
@@ -243,7 +321,7 @@ struct HistoryShadow
  * Batch state for the single-table predictors (bimodal, ghist,
  * gshare), differing only in how the index is derived.
  */
-template <typename P, IndexKind Kind, bool Track>
+template <typename P, IndexKind Kind, Tracking T>
 class TableState
 {
   public:
@@ -313,7 +391,7 @@ class TableState
         if (table.prefetch) {
             for (std::size_t i = 0; i < count; ++i) {
                 BPSIM_BATCH_PREFETCH(&table.cnt[out[i]]);
-                if constexpr (Track)
+                if constexpr (T != Tracking::Off)
                     BPSIM_BATCH_PREFETCH(&table.tags[out[i]]);
             }
         }
@@ -330,7 +408,7 @@ class TableState
         const bool prediction = satCounterTaken(counter, table.msb);
         const bool correct = prediction == taken;
         const std::uint32_t collided =
-            touchLane<Track>(table, stats, k, pc, correct);
+            touchLane<T>(table, stats, k, pc, correct);
         table.cnt[k] = satCounterTrain(counter, taken, table.maxv);
         return {correct, collided};
     }
@@ -356,7 +434,7 @@ class TableState
 };
 
 /** Batch state for the bi-mode predictor. */
-template <bool Track>
+template <Tracking T>
 class BiModeState
 {
   public:
@@ -427,8 +505,8 @@ class BiModeState
         const bool correct = prediction == taken;
 
         const std::uint32_t collided =
-            touchLane<Track>(choice, choiceStats, kc, pc, correct) +
-            touchLane<Track>(selected, selectedStats, kd, pc, correct);
+            touchLane<T>(choice, choiceStats, kc, pc, correct) +
+            touchLane<T>(selected, selectedStats, kd, pc, correct);
 
         // Partial update: only the selected direction table trains.
         selected.cnt[kd] = satCounterTrain(dirCounter, taken,
@@ -468,7 +546,7 @@ class BiModeState
 };
 
 /** Batch state for the 2bcgskew predictor. */
-template <bool Track>
+template <Tracking T>
 class GskewState
 {
   public:
@@ -563,7 +641,7 @@ class GskewState
                 BPSIM_BATCH_PREFETCH(&g1.cnt[g1Idx[slot][i]]);
                 BPSIM_BATCH_PREFETCH(&meta.cnt[metaIdx[slot][i]]);
             }
-            if constexpr (Track) {
+            if constexpr (T != Tracking::Off) {
                 for (std::size_t i = 0; i < count; ++i) {
                     BPSIM_BATCH_PREFETCH(&bim.tags[bimIdx[slot][i]]);
                     BPSIM_BATCH_PREFETCH(&g0.tags[g0Idx[slot][i]]);
@@ -598,10 +676,10 @@ class GskewState
         const bool correct = prediction == taken;
 
         const std::uint32_t collided =
-            touchLane<Track>(bim, bimStats, kb, pc, correct) +
-            touchLane<Track>(g0, g0Stats, k0, pc, correct) +
-            touchLane<Track>(g1, g1Stats, k1, pc, correct) +
-            touchLane<Track>(meta, metaStats, km, pc, correct);
+            touchLane<T>(bim, bimStats, kb, pc, correct) +
+            touchLane<T>(g0, g0Stats, k0, pc, correct) +
+            touchLane<T>(g1, g1Stats, k1, pc, correct) +
+            touchLane<T>(meta, metaStats, km, pc, correct);
 
         // Partial update as branchless masks: on a wrong overall
         // prediction all voting banks train; on a correct one only
@@ -658,33 +736,307 @@ class GskewState
     std::size_t metaIdx[pipelineSlots][batchRecords];
 };
 
+/**
+ * Advance a tagged predictor's history shadow by one record with the
+ * rules the record-at-a-time kernels apply through historyStep(): a
+ * dynamic record shifts its outcome; a hinted one shifts nothing, its
+ * outcome or its hint direction, per @p Policy.
+ */
+template <ShiftPolicy Policy, bool WithHints, typename History>
+BPSIM_ALWAYS_INLINE void
+advanceHistory(History &history, std::uint8_t taken, std::uint8_t code)
+{
+    bool bit = taken != 0;
+    if constexpr (WithHints) {
+        const bool present = (code & batch::hintPresentBit) != 0;
+        if constexpr (Policy == ShiftPolicy::NoShift) {
+            if (present)
+                return;
+        } else if constexpr (Policy == ShiftPolicy::ShiftPrediction) {
+            bit = present ? (code & batch::hintTakenBit) != 0 : bit;
+        }
+    } else {
+        (void)code;
+    }
+    history.push(bit);
+}
+
+/**
+ * Prepare pass shared by the tagged family: evolve a per-batch copy
+ * of the predictor's history and folds from the trace outcomes and
+ * hint codes, computing each record's table coordinates from it (and
+ * the per-site PC folds) with the predictor's own index functions.
+ */
+template <typename P, ShiftPolicy Policy, bool WithHints, bool WithSites>
+void
+prepareCoords(const P &predictor, typename BatchTraits<P>::History &shadow,
+              typename BatchTraits<P>::Coords *out, std::size_t count,
+              const std::uint64_t *pc_index, const std::uint8_t *taken,
+              const std::uint32_t *site, const std::uint8_t *codes,
+              const batch::SiteTables *tables)
+{
+    typename BatchTraits<P>::History history = shadow;
+    for (std::size_t i = 0; i < count; ++i) {
+        if constexpr (WithSites) {
+            BatchTraits<P>::coords(predictor, history, *tables, site[i],
+                                   out[i]);
+        } else {
+            BatchTraits<P>::coords(predictor, history, pc_index[i],
+                                   out[i]);
+        }
+        advanceHistory<Policy, WithHints>(
+            history, taken[i], WithHints ? codes[site[i]] : 0);
+    }
+    shadow = history;
+}
+
+/**
+ * Batch state for TAGE. Apply replays Tage::predictStep/updateStep
+ * over the carried coordinates: base and bank counter loads, tag
+ * matches, provider and alternate selection, the instrumented
+ * accesses (base first, then banks), useful-counter and provider
+ * training, then allocation on a misprediction and the aging count
+ * through the predictor's own allocate()/countUpdate().
+ */
+template <Tracking T>
+class TageState
+{
+    using Traits = BatchTraits<Tage>;
+    static constexpr unsigned banks = Tage::numBanks;
+
+  public:
+    explicit TageState(Tage &predictor)
+        : predictor(&predictor), base(Traits::base(predictor)),
+          shadow(Traits::history(predictor))
+    {
+        for (unsigned b = 0; b < banks; ++b) {
+            bank[b] = LaneTable(Traits::bankPred(predictor, b));
+            tags[b] = Traits::bankTags(predictor, b);
+            useful[b] = Traits::bankUseful(predictor, b);
+        }
+    }
+
+    template <ShiftPolicy Policy, bool WithHints, bool WithSites>
+    void
+    prepare(unsigned slot, std::size_t count,
+            const std::uint64_t *pc_index, const std::uint8_t *taken,
+            const std::uint32_t *site, const std::uint8_t *codes,
+            const batch::SiteTables *tables)
+    {
+        prepareCoords<Tage, Policy, WithHints, WithSites>(
+            *predictor, shadow, coords[slot], count, pc_index, taken,
+            site, codes, tables);
+    }
+
+    ApplyResult
+    apply(unsigned slot, std::size_t i, Addr pc,
+          std::uint64_t /*pc_index*/, bool taken)
+    {
+        const Tage::Coords &at = coords[slot][i];
+        const std::uint8_t cb = base.cnt[at.baseIdx];
+        const bool basePred = satCounterTaken(cb, base.msb);
+        // Per-bank tag hits and counter predictions as bit masks, so
+        // provider (longest hit) and alternate (next-longest hit)
+        // selection is bit arithmetic rather than data-dependent
+        // branches.
+        std::uint8_t c[banks];
+        unsigned hits = 0;
+        unsigned preds = 0;
+        for (unsigned b = 0; b < banks; ++b) {
+            c[b] = bank[b].cnt[at.idx[b]];
+            preds |= static_cast<unsigned>(
+                         satCounterTaken(c[b], bank[b].msb))
+                     << b;
+            hits |= static_cast<unsigned>(tags[b][at.idx[b]] == at.tag[b])
+                    << b;
+        }
+        const int provider = static_cast<int>(std::bit_width(hits)) - 1;
+        const unsigned others = hits ^ std::bit_floor(hits);
+        const bool altPred =
+            others != 0
+                ? ((preds >> (std::bit_width(others) - 1)) & 1) != 0
+                : basePred;
+        const bool providerPred =
+            provider >= 0 ? ((preds >> provider) & 1) != 0 : basePred;
+        const bool correct = providerPred == taken;
+
+        // Tracked accesses in table order: base, then banks 0..3.
+        std::uint32_t collided = 0;
+        if constexpr (T != Tracking::Off) {
+            unsigned mask = checkTag<T>(base, at.baseIdx, pc, correct);
+            for (unsigned b = 0; b < banks; ++b)
+                mask |= checkTag<T>(bank[b], at.idx[b], pc, correct)
+                        << (b + 1);
+            stats.note(mask, correct);
+            collided = static_cast<std::uint32_t>(std::popcount(mask));
+        }
+
+        if (provider >= 0) {
+            const std::size_t k = at.idx[provider];
+            // The useful counter tracks "provider beat the alternate":
+            // it only moves when they disagreed, toward whichever was
+            // right.
+            std::uint8_t &u = useful[provider][k];
+            const std::uint8_t moved =
+                providerPred == taken
+                    ? static_cast<std::uint8_t>(
+                          u + (u < Tage::usefulMax ? 1 : 0))
+                    : static_cast<std::uint8_t>(u - (u > 0 ? 1 : 0));
+            u = providerPred != altPred ? moved : u;
+            bank[provider].cnt[k] =
+                satCounterTrain(c[provider], taken, bank[provider].maxv);
+        } else {
+            base.cnt[at.baseIdx] = satCounterTrain(cb, taken, base.maxv);
+        }
+        if (!correct && provider < static_cast<int>(banks) - 1)
+            Traits::allocate(*predictor, provider, at, taken);
+        Traits::countUpdate(*predictor);
+        return {correct, collided};
+    }
+
+    void
+    flushSegment(Tage &target)
+    {
+        CounterTable *order[banks + 1] = {base.src};
+        for (unsigned b = 0; b < banks; ++b)
+            order[b + 1] = bank[b].src;
+        stats.flush(order);
+        Traits::history(target) = shadow;
+    }
+
+  private:
+    Tage *predictor;
+    LaneTable base;
+    LaneTable bank[banks];
+    std::uint8_t *tags[banks];
+    std::uint8_t *useful[banks];
+    MaskStats<banks + 1> stats;
+    Traits::History shadow;
+    Tage::Coords coords[pipelineSlots][batchRecords];
+};
+
+/**
+ * Batch state for the hashed perceptron. Apply replays
+ * HashedPerceptron::predictStep/updateStep over the carried indices:
+ * the weight sum and its sign, the instrumented accesses, and the
+ * threshold-gated training of every selected weight (branch-free:
+ * untrained weights are stored back unchanged).
+ */
+template <Tracking T>
+class PerceptronState
+{
+    using Traits = BatchTraits<HashedPerceptron>;
+    static constexpr unsigned tables = HashedPerceptron::numTables;
+
+  public:
+    explicit PerceptronState(HashedPerceptron &predictor)
+        : predictor(&predictor), shadow(Traits::history(predictor)),
+          threshold(Traits::threshold(predictor))
+    {
+        for (unsigned t = 0; t < tables; ++t)
+            table[t] = LaneTable(Traits::table(predictor, t));
+    }
+
+    template <ShiftPolicy Policy, bool WithHints, bool WithSites>
+    void
+    prepare(unsigned slot, std::size_t count,
+            const std::uint64_t *pc_index, const std::uint8_t *taken,
+            const std::uint32_t *site, const std::uint8_t *codes,
+            const batch::SiteTables *site_tables)
+    {
+        prepareCoords<HashedPerceptron, Policy, WithHints, WithSites>(
+            *predictor, shadow, coords[slot], count, pc_index, taken,
+            site, codes, site_tables);
+    }
+
+    ApplyResult
+    apply(unsigned slot, std::size_t i, Addr pc,
+          std::uint64_t /*pc_index*/, bool taken)
+    {
+        const HashedPerceptron::Indices &at = coords[slot][i];
+        std::uint8_t w[tables];
+        int sum = 0;
+        for (unsigned t = 0; t < tables; ++t) {
+            w[t] = table[t].cnt[at[t]];
+            sum += static_cast<int>(w[t]) - HashedPerceptron::weightBias;
+        }
+        const bool correct = (sum >= 0) == taken;
+
+        std::uint32_t collided = 0;
+        if constexpr (T != Tracking::Off) {
+            unsigned mask = 0;
+            for (unsigned t = 0; t < tables; ++t)
+                mask |= checkTag<T>(table[t], at[t], pc, correct) << t;
+            stats.note(mask, correct);
+            collided = static_cast<std::uint32_t>(std::popcount(mask));
+        }
+
+        const int magnitude = sum < 0 ? -sum : sum;
+        const bool train = !correct || magnitude <= threshold;
+        for (unsigned t = 0; t < tables; ++t) {
+            table[t].cnt[at[t]] =
+                train ? satCounterTrain(w[t], taken, table[t].maxv)
+                      : w[t];
+        }
+        return {correct, collided};
+    }
+
+    void
+    flushSegment(HashedPerceptron &target)
+    {
+        CounterTable *order[tables];
+        for (unsigned t = 0; t < tables; ++t)
+            order[t] = table[t].src;
+        stats.flush(order);
+        Traits::history(target) = shadow;
+    }
+
+  private:
+    HashedPerceptron *predictor;
+    LaneTable table[tables];
+    MaskStats<tables> stats;
+    Traits::History shadow;
+    int threshold;
+    HashedPerceptron::Indices coords[pipelineSlots][batchRecords];
+};
+
 /** The batch state class handling predictor type @p P. */
-template <typename P, bool Track>
+template <typename P, Tracking T>
 struct StateFor;
 
-template <bool Track> struct StateFor<Bimodal, Track>
+template <Tracking T> struct StateFor<Bimodal, T>
 {
-    using type = TableState<Bimodal, IndexKind::Pc, Track>;
+    using type = TableState<Bimodal, IndexKind::Pc, T>;
 };
 
-template <bool Track> struct StateFor<Ghist, Track>
+template <Tracking T> struct StateFor<Ghist, T>
 {
-    using type = TableState<Ghist, IndexKind::HistOnly, Track>;
+    using type = TableState<Ghist, IndexKind::HistOnly, T>;
 };
 
-template <bool Track> struct StateFor<Gshare, Track>
+template <Tracking T> struct StateFor<Gshare, T>
 {
-    using type = TableState<Gshare, IndexKind::PcXorHist, Track>;
+    using type = TableState<Gshare, IndexKind::PcXorHist, T>;
 };
 
-template <bool Track> struct StateFor<BiMode, Track>
+template <Tracking T> struct StateFor<BiMode, T>
 {
-    using type = BiModeState<Track>;
+    using type = BiModeState<T>;
 };
 
-template <bool Track> struct StateFor<TwoBcGskew, Track>
+template <Tracking T> struct StateFor<TwoBcGskew, T>
 {
-    using type = GskewState<Track>;
+    using type = GskewState<T>;
+};
+
+template <Tracking T> struct StateFor<Tage, T>
+{
+    using type = TageState<T>;
+};
+
+template <Tracking T> struct StateFor<HashedPerceptron, T>
+{
+    using type = PerceptronState<T>;
 };
 
 /**
@@ -704,7 +1056,7 @@ template <bool Track> struct StateFor<TwoBcGskew, Track>
  * in a different grouping); per member the record order is the
  * buffer order, so the table and history evolution is identical.
  */
-template <typename P, ShiftPolicy Policy, bool Track, bool WithHints,
+template <typename P, ShiftPolicy Policy, Tracking T, bool WithHints,
           bool WithSites, bool WithDense, std::size_t N>
 void
 runBatchLoop(P *const *predictors,
@@ -714,7 +1066,7 @@ runBatchLoop(P *const *predictors,
              const std::uint32_t *site_of, BranchProfile *profiles,
              Count start, Count end)
 {
-    using State = typename StateFor<P, Track>::type;
+    using State = typename StateFor<P, T>::type;
     constexpr std::size_t B = batchRecords;
 
     const Addr *pcs = buffer.pcData();
@@ -791,6 +1143,15 @@ runBatchLoop(P *const *predictors,
                         mispredictions[m] += miss;
                         ++staticPredicted[m];
                         staticMispredicted[m] += miss;
+                        if constexpr (WithDense) {
+                            // A hinted branch's profile records only
+                            // its outcome: accuracy counts describe
+                            // the dynamic predictor.
+                            BranchProfile &profile =
+                                profiles[site[cur][i]];
+                            ++profile.executed;
+                            profile.taken += recTaken ? 1 : 0;
+                        }
                         continue;
                     }
                 }
@@ -821,42 +1182,92 @@ runBatchLoop(P *const *predictors,
     }
 }
 
+/** Call @p run with @p policy as a compile-time constant. */
+template <typename Run>
+void
+withPolicy(ShiftPolicy policy, Run &&run)
+{
+    switch (policy) {
+      case ShiftPolicy::NoShift:
+        run(std::integral_constant<ShiftPolicy, ShiftPolicy::NoShift>{});
+        break;
+      case ShiftPolicy::ShiftOutcome:
+        run(std::integral_constant<ShiftPolicy,
+                                   ShiftPolicy::ShiftOutcome>{});
+        break;
+      case ShiftPolicy::ShiftPrediction:
+        run(std::integral_constant<ShiftPolicy,
+                                   ShiftPolicy::ShiftPrediction>{});
+        break;
+    }
+}
+
+/** Call @p run with @p tracking as a compile-time constant. */
+template <typename Run>
+void
+withTracking(Tracking tracking, Run &&run)
+{
+    switch (tracking) {
+      case Tracking::Off:
+        run(std::integral_constant<Tracking, Tracking::Off>{});
+        break;
+      case Tracking::Stats:
+        run(std::integral_constant<Tracking, Tracking::Stats>{});
+        break;
+      case Tracking::Contexts:
+        run(std::integral_constant<Tracking, Tracking::Contexts>{});
+        break;
+    }
+}
+
+/** The tracking policy for @p predictor under the caller's flag. */
+template <typename P>
+Tracking
+trackingFor(P &predictor, bool track)
+{
+    if (!track)
+        return Tracking::Off;
+    // One sink serves every table of a predictor, so any one table
+    // speaks for all of them.
+    const CounterTable *table = nullptr;
+    if constexpr (std::is_same_v<P, BiMode>)
+        table = &BatchTraits<P>::choice(predictor);
+    else if constexpr (std::is_same_v<P, TwoBcGskew>)
+        table = &BatchTraits<P>::bim(predictor);
+    else if constexpr (std::is_same_v<P, Tage>)
+        table = &BatchTraits<P>::base(predictor);
+    else if constexpr (std::is_same_v<P, HashedPerceptron>)
+        table = &BatchTraits<P>::table(predictor, 0);
+    else
+        table = &BatchTraits<P>::table(predictor);
+    return table->attachedAliasSink() != nullptr ? Tracking::Contexts
+                                                 : Tracking::Stats;
+}
+
 /**
  * Run one gang chunk of compile-time size through the batch loop,
- * dispatching the runtime (policy, track) pair.
+ * dispatching the runtime (policy, tracking) pair.
  */
 template <typename P, std::size_t N>
 void
 dispatchGangChunk(const batch::GangArgs<P> &args, std::size_t offset)
 {
-    const auto run = [&](auto policy_tag, auto track_tag) {
+    withPolicy(args.policy, [&](auto policy_tag) {
         constexpr ShiftPolicy kPolicy = decltype(policy_tag)::value;
-        constexpr bool kTrack = decltype(track_tag)::value;
-        runBatchLoop<P, kPolicy, kTrack, true, true, false, N>(
-            args.predictors + offset, args.siteTables + offset,
-            args.hintCodes + offset, args.stats + offset,
-            *args.buffer, args.siteOf, nullptr, args.from, args.to);
-    };
-    const auto dispatch = [&](auto policy_tag) {
-        if (args.track)
-            run(policy_tag, std::true_type{});
-        else
-            run(policy_tag, std::false_type{});
-    };
-    switch (args.policy) {
-      case ShiftPolicy::NoShift:
-        dispatch(std::integral_constant<ShiftPolicy,
-                                        ShiftPolicy::NoShift>{});
-        break;
-      case ShiftPolicy::ShiftOutcome:
-        dispatch(std::integral_constant<ShiftPolicy,
-                                        ShiftPolicy::ShiftOutcome>{});
-        break;
-      case ShiftPolicy::ShiftPrediction:
-        dispatch(std::integral_constant<
-                 ShiftPolicy, ShiftPolicy::ShiftPrediction>{});
-        break;
-    }
+        if (args.track) {
+            runBatchLoop<P, kPolicy, Tracking::Stats, true, true, false,
+                         N>(args.predictors + offset,
+                            args.siteTables + offset,
+                            args.hintCodes + offset, args.stats + offset,
+                            *args.buffer, args.siteOf, nullptr,
+                            args.from, args.to);
+        } else {
+            runBatchLoop<P, kPolicy, Tracking::Off, true, true, false, N>(
+                args.predictors + offset, args.siteTables + offset,
+                args.hintCodes + offset, args.stats + offset,
+                *args.buffer, args.siteOf, nullptr, args.from, args.to);
+        }
+    });
 }
 
 } // namespace
@@ -865,6 +1276,14 @@ template <typename P>
 void
 runGangBatch(const batch::GangArgs<P> &args)
 {
+    // Per-context attribution is a single-sim shape: the sims that
+    // carry an alias sink (scenario evaluations) also profile, and
+    // profiling sims never gang.
+    for (std::size_t m = 0; m < args.n; ++m) {
+        bpsim_assert(trackingFor(*args.predictors[m], args.track) !=
+                         Tracking::Contexts,
+                     "gang member carries a context alias sink");
+    }
     // Gangs larger than gangChunk run as successive fixed-size
     // chunks (each member still sees every record in order exactly
     // once); the compile-time chunk size keeps the apply pass's
@@ -895,65 +1314,60 @@ runGangBatch(const batch::GangArgs<P> &args)
 
 template <typename P>
 void
-runDenseBatch(const batch::DenseArgs<P> &args)
+runSingleBatch(const batch::SingleArgs<P> &args)
 {
     P *predictor = args.predictor;
     const batch::SiteTables *tables = args.siteTables;
+    const std::uint8_t *codes = args.hintCodes;
     SimStats *stats = args.stats;
-    if (args.track) {
-        runBatchLoop<P, ShiftPolicy::NoShift, true, false, true, true,
-                     1>(&predictor, &tables, nullptr, &stats,
-                        *args.buffer, args.siteOf, args.profiles,
-                        args.from, args.to);
-    } else {
-        runBatchLoop<P, ShiftPolicy::NoShift, false, false, true,
-                     true, 1>(&predictor, &tables, nullptr, &stats,
-                              *args.buffer, args.siteOf, args.profiles,
-                              args.from, args.to);
-    }
+    const auto loop = [&](auto policy_tag, auto tracking_tag,
+                          auto hints_tag, auto sites_tag,
+                          auto dense_tag) {
+        runBatchLoop<P, decltype(policy_tag)::value,
+                     decltype(tracking_tag)::value,
+                     decltype(hints_tag)::value,
+                     decltype(sites_tag)::value,
+                     decltype(dense_tag)::value, 1>(
+            &predictor, &tables, &codes, &stats, *args.buffer,
+            args.siteOf, args.profiles, args.from, args.to);
+    };
+    using NoShift =
+        std::integral_constant<ShiftPolicy, ShiftPolicy::NoShift>;
+    withTracking(trackingFor(*predictor, args.track), [&](auto tracking) {
+        if (args.siteOf == nullptr) {
+            loop(NoShift{}, tracking, std::false_type{},
+                 std::false_type{}, std::false_type{});
+            return;
+        }
+        const auto withDense = [&](auto hints, auto policy) {
+            if (args.profiles != nullptr)
+                loop(policy, tracking, hints, std::true_type{},
+                     std::true_type{});
+            else
+                loop(policy, tracking, hints, std::true_type{},
+                     std::false_type{});
+        };
+        if (codes == nullptr) {
+            withDense(std::false_type{}, NoShift{});
+            return;
+        }
+        withPolicy(args.policy, [&](auto policy) {
+            withDense(std::true_type{}, policy);
+        });
+    });
 }
 
-template <typename P>
-void
-runPlainBatch(const batch::PlainArgs<P> &args)
-{
-    P *predictor = args.predictor;
-    SimStats *stats = args.stats;
-    if (args.track) {
-        runBatchLoop<P, ShiftPolicy::NoShift, true, false, false,
-                     false, 1>(&predictor, nullptr, nullptr, &stats,
-                               *args.buffer, nullptr, nullptr,
-                               args.from, args.to);
-    } else {
-        runBatchLoop<P, ShiftPolicy::NoShift, false, false, false,
-                     false, 1>(&predictor, nullptr, nullptr, &stats,
-                               *args.buffer, nullptr, nullptr,
-                               args.from, args.to);
-    }
-}
-
-template void runGangBatch<Bimodal>(const batch::GangArgs<Bimodal> &);
-template void runGangBatch<Ghist>(const batch::GangArgs<Ghist> &);
-template void runGangBatch<Gshare>(const batch::GangArgs<Gshare> &);
-template void runGangBatch<BiMode>(const batch::GangArgs<BiMode> &);
-template void
-runGangBatch<TwoBcGskew>(const batch::GangArgs<TwoBcGskew> &);
-
-template void
-runDenseBatch<Bimodal>(const batch::DenseArgs<Bimodal> &);
-template void runDenseBatch<Ghist>(const batch::DenseArgs<Ghist> &);
-template void runDenseBatch<Gshare>(const batch::DenseArgs<Gshare> &);
-template void runDenseBatch<BiMode>(const batch::DenseArgs<BiMode> &);
-template void
-runDenseBatch<TwoBcGskew>(const batch::DenseArgs<TwoBcGskew> &);
-
-template void
-runPlainBatch<Bimodal>(const batch::PlainArgs<Bimodal> &);
-template void runPlainBatch<Ghist>(const batch::PlainArgs<Ghist> &);
-template void runPlainBatch<Gshare>(const batch::PlainArgs<Gshare> &);
-template void runPlainBatch<BiMode>(const batch::PlainArgs<BiMode> &);
-template void
-runPlainBatch<TwoBcGskew>(const batch::PlainArgs<TwoBcGskew> &);
+#define BPSIM_INSTANTIATE_BATCH(P)                                     \
+    template void runGangBatch<P>(const batch::GangArgs<P> &);         \
+    template void runSingleBatch<P>(const batch::SingleArgs<P> &);
+BPSIM_INSTANTIATE_BATCH(Bimodal)
+BPSIM_INSTANTIATE_BATCH(Ghist)
+BPSIM_INSTANTIATE_BATCH(Gshare)
+BPSIM_INSTANTIATE_BATCH(BiMode)
+BPSIM_INSTANTIATE_BATCH(TwoBcGskew)
+BPSIM_INSTANTIATE_BATCH(Tage)
+BPSIM_INSTANTIATE_BATCH(HashedPerceptron)
+#undef BPSIM_INSTANTIATE_BATCH
 
 } // namespace BPSIM_BATCH_NS
 } // namespace bpsim

@@ -246,7 +246,7 @@ runReplay(P &concrete, BranchPredictor &outer, const HintDb *hints,
         batchKernelsFor<P>(resolveSimdLevel(options.simd));
     if (used_simd != nullptr) {
         *used_simd =
-            kernels.plain != nullptr && hints == nullptr &&
+            kernels.single != nullptr && hints == nullptr &&
             !with_profile;
     }
 
@@ -259,15 +259,15 @@ runReplay(P &concrete, BranchPredictor &outer, const HintDb *hints,
             runReplayCombined<kWithProfile, kTrack>(
                 concrete, *hints, policy, buffer, from, to, stats,
                 profile);
-        } else if (!kWithProfile && kernels.plain != nullptr) {
-            batch::PlainArgs<P> args;
+        } else if (!kWithProfile && kernels.single != nullptr) {
+            batch::SingleArgs<P> args;
             args.predictor = &concrete;
             args.stats = &stats;
             args.buffer = &buffer;
             args.from = from;
             args.to = to;
             args.track = kTrack;
-            kernels.plain(args);
+            kernels.single(args);
         } else {
             runReplayDynamic<kWithProfile, kTrack>(
                 concrete, buffer, from, to, stats, profile);
@@ -509,9 +509,12 @@ class FusedStepper : public FusedExec
 /**
  * Fused stepper running the devirtualized kernels for concrete
  * predictor type @p P. With a SiteIndex available it additionally
- * flattens hint lookups (combined sims) or profile accumulation
- * (profiling sims) onto dense site arrays; both are pure
- * accelerations with bit-identical results.
+ * flattens hint lookups (combined sims) and profile accumulation
+ * (profiling sims, and scenario evaluations, which profile for their
+ * per-context split) onto dense site arrays; both are pure
+ * accelerations with bit-identical results. The batched kernels take
+ * every shape the site index covers, plus plain dynamic sims without
+ * one.
  */
 template <typename P>
 class KernelStepper final : public FusedStepper
@@ -525,38 +528,28 @@ class KernelStepper final : public FusedStepper
           kernels(batchKernelsFor<P>(
               resolveSimdLevel(sim.options.simd)))
     {
-        if (sites != nullptr && hints != nullptr) {
+        const bool with_profile = sim.options.profile != nullptr;
+        batched = kernels.single != nullptr &&
+                  (sites != nullptr ||
+                   (hints == nullptr && !with_profile));
+        if (sites != nullptr) {
             siteOf = sites->siteData();
-            hintCode.assign(sites->siteCount(), 0);
-            for (std::uint32_t s = 0; s < sites->siteCount(); ++s) {
-                bool taken = false;
-                if (hints->lookup(sites->sitePc(s), taken))
-                    hintCode[s] = hintPresentBit |
-                                  (taken ? hintTakenBit : 0);
-            }
-        } else if (sites != nullptr && hints == nullptr &&
-                   sim.options.profile != nullptr) {
-            siteOf = sites->siteData();
-            dense.counts.assign(sites->siteCount(), BranchProfile{});
-            useDense = true;
-        }
-        // Which batched kernel covers the *measured* segments of this
-        // sim, if any. Hinted sims batch through the gang kernel
-        // (gang of one) when the dense hint codes exist and no
-        // profile is attached; profiling sims batch only in dense
-        // (site-indexed) form; plain dynamic sims always batch.
-        if (kernels.gang != nullptr) {
             if (hints != nullptr) {
-                usedSimdFlag = !hintCode.empty() &&
-                               sim.options.profile == nullptr;
-            } else {
-                usedSimdFlag =
-                    sim.options.profile == nullptr || useDense;
+                hintCode.assign(sites->siteCount(), 0);
+                for (std::uint32_t s = 0; s < sites->siteCount(); ++s) {
+                    bool taken = false;
+                    if (hints->lookup(sites->sitePc(s), taken))
+                        hintCode[s] = hintPresentBit |
+                                      (taken ? hintTakenBit : 0);
+                }
             }
+            // The record-at-a-time hinted kernel keeps its ProfileDb.
+            useDense = with_profile && (batched || hints == nullptr);
+            if (useDense)
+                dense.counts.assign(sites->siteCount(), BranchProfile{});
+            if (batched)
+                siteTables = batch::buildSiteTables(concrete, *sites);
         }
-        if (usedSimdFlag && sites != nullptr &&
-            (useDense || !hintCode.empty()))
-            siteTables = batch::buildSiteTables(concrete, *sites);
     }
 
     void
@@ -570,7 +563,7 @@ class KernelStepper final : public FusedStepper
         }
         sim.stats.collisions = sim.predictor->collisionStats();
         sim.usedFastPath = true;
-        sim.usedSimd = usedSimdFlag;
+        sim.usedSimd = batched;
         if (sim.options.counters != nullptr) {
             sim.options.counters->add("engine.kernel_runs");
             sim.options.counters->add("engine.branches",
@@ -593,37 +586,42 @@ class KernelStepper final : public FusedStepper
         const bool with_profile = profile != nullptr;
         const bool track = sim.options.trackCollisions;
 
+        if (batched) {
+            batch::SingleArgs<P> args;
+            args.predictor = &concrete;
+            args.stats = &stats;
+            args.buffer = &buffer;
+            args.from = from;
+            args.to = to;
+            args.track = track;
+            if (sites != nullptr) {
+                args.siteTables = &siteTables;
+                args.siteOf = siteOf;
+                args.hintCodes = hintCode.empty() ? nullptr
+                                                  : hintCode.data();
+                args.profiles =
+                    with_profile ? dense.counts.data() : nullptr;
+                args.policy = policy;
+            }
+            kernels.single(args);
+            return;
+        }
+
         const auto run = [&](auto profile_tag, auto track_tag) {
             constexpr bool kWithProfile =
                 decltype(profile_tag)::value;
             constexpr bool kTrack = decltype(track_tag)::value;
             if (hints != nullptr) {
                 if (!hintCode.empty()) {
-                    if (!kWithProfile && usedSimdFlag) {
-                        runGangOfOne<kTrack>(from, to, stats);
-                    } else {
-                        runSites<kWithProfile, kTrack>(from, to,
-                                                       stats, profile);
-                    }
+                    runSites<kWithProfile, kTrack>(from, to, stats,
+                                                   profile);
                 } else {
                     runReplayCombined<kWithProfile, kTrack>(
                         concrete, *hints, policy, buffer, from, to,
                         stats, profile);
                 }
             } else if constexpr (kWithProfile) {
-                if (useDense && usedSimdFlag) {
-                    batch::DenseArgs<P> args;
-                    args.predictor = &concrete;
-                    args.siteTables = &siteTables;
-                    args.profiles = dense.counts.data();
-                    args.stats = &stats;
-                    args.buffer = &buffer;
-                    args.siteOf = siteOf;
-                    args.from = from;
-                    args.to = to;
-                    args.track = kTrack;
-                    kernels.dense(args);
-                } else if (useDense) {
+                if (useDense) {
                     runReplayDynamicDense<kTrack>(
                         concrete, siteOf, buffer, from, to, stats,
                         dense);
@@ -631,15 +629,6 @@ class KernelStepper final : public FusedStepper
                     runReplayDynamic<true, kTrack>(
                         concrete, buffer, from, to, stats, profile);
                 }
-            } else if (kernels.plain != nullptr) {
-                batch::PlainArgs<P> args;
-                args.predictor = &concrete;
-                args.stats = &stats;
-                args.buffer = &buffer;
-                args.from = from;
-                args.to = to;
-                args.track = kTrack;
-                kernels.plain(args);
             } else {
                 runReplayDynamic<false, kTrack>(
                     concrete, buffer, from, to, stats, profile);
@@ -657,30 +646,6 @@ class KernelStepper final : public FusedStepper
     }
 
   private:
-    /** Batched hinted evaluation: the gang kernel with one member. */
-    template <bool Track>
-    void
-    runGangOfOne(Count from, Count to, SimStats &stats)
-    {
-        P *predictor = &concrete;
-        const batch::SiteTables *tables = &siteTables;
-        const std::uint8_t *codes = hintCode.data();
-        SimStats *stats_ptr = &stats;
-        batch::GangArgs<P> args;
-        args.predictors = &predictor;
-        args.siteTables = &tables;
-        args.hintCodes = &codes;
-        args.stats = &stats_ptr;
-        args.n = 1;
-        args.buffer = &buffer;
-        args.siteOf = siteOf;
-        args.from = from;
-        args.to = to;
-        args.policy = policy;
-        args.track = Track;
-        kernels.gang(args);
-    }
-
     template <bool WithProfile, bool Track>
     void
     runSites(Count from, Count to, SimStats &stats,
@@ -718,7 +683,7 @@ class KernelStepper final : public FusedStepper
     bool useDense = false;
     BatchKernelSet<P> kernels;
     batch::SiteTables siteTables;
-    bool usedSimdFlag = false;
+    bool batched = false;
 };
 
 /**

@@ -56,7 +56,7 @@ struct SimOptions
     /**
      * Let simulateReplay() use the devirtualized block kernels when
      * the predictor's concrete type supports them. When clear (or
-     * when the type is not one of the five paper schemes) the run
+     * when the type is not in BPSIM_KERNEL_PREDICTORS) the run
      * falls back to the virtual-dispatch loop; results are
      * bit-identical either way.
      */
@@ -76,8 +76,10 @@ struct SimOptions
      * (core/batch_kernels.hh). When clear — or when BPSIM_SIMD=off
      * overrides — the record-at-a-time kernels run instead; results
      * are bit-identical either way. Honoured only where a batched
-     * path exists (plain dynamic, gang, and dense-profile shapes);
-     * other shapes silently use the record-at-a-time kernels.
+     * path exists (plain dynamic sims; with a site index also gangs,
+     * hinted sims and dense-profile sims, scenario evaluations
+     * included); other shapes silently use the record-at-a-time
+     * kernels.
      */
     bool simd = true;
 
@@ -107,8 +109,9 @@ SimStats simulate(BranchPredictor &predictor, BranchStream &stream,
  * Semantically identical to simulate() over @p buffer.cursor() —
  * same stats, same profile contents, same final predictor state —
  * but when @p predictor (or, for a CombinedPredictor, its dynamic
- * component) is one of the five paper schemes, the run dispatches
- * once on the concrete type and executes a templated block kernel
+ * component) is a kernel-capable type (BPSIM_KERNEL_PREDICTORS), the
+ * run dispatches once on the concrete type and executes a templated
+ * block kernel
  * over the buffer's raw columns: no virtual calls in the per-branch
  * loop. options.resetStream is meaningless here (the buffer is
  * immutable) and ignored.

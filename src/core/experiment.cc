@@ -133,9 +133,7 @@ evalSimOptions(const ExperimentConfig &config)
     options.maxBranches = config.evalBranches;
     options.warmupBranches = config.evalWarmupBranches;
     options.counters = config.counters;
-    // Scenario cells must run record-at-a-time: the SIMD dense-profile
-    // kernels bypass the per-lookup tag path the alias sink observes.
-    options.simd = config.simd && config.scenarioContexts == 0;
+    options.simd = config.simd;
     return options;
 }
 

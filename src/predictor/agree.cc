@@ -1,8 +1,6 @@
 #include "predictor/agree.hh"
 
 #include "predictor/registry.hh"
-
-#include "support/bits.hh"
 #include "predictor/table_size.hh"
 
 namespace bpsim
@@ -16,46 +14,22 @@ Agree::Agree(std::size_t size_bytes, BitCount counter_bits)
 {
 }
 
-std::size_t
-Agree::index(Addr pc) const
-{
-    return static_cast<std::size_t>(hashPcHistoryXor(
-        pc / instructionBytes, history.value(), table.indexBits()));
-}
-
 bool
 Agree::predict(Addr pc)
 {
-    lastIndex = index(pc);
-    const bool agree = table.lookup(lastIndex, pc).taken();
-
-    const auto it = biasBits.find(pc);
-    lastHadBias = it != biasBits.end();
-    // Before the first execution assigns a bias bit, fall back to
-    // backward-taken-style static default: predict not-taken.
-    lastBias = lastHadBias ? it->second : false;
-    return agree ? lastBias : !lastBias;
+    return predictStep<true>(pc);
 }
 
 void
 Agree::update(Addr pc, bool taken)
 {
-    if (!lastHadBias) {
-        // First execution: latch the bias bit to the first outcome.
-        biasBits.emplace(pc, taken);
-        lastBias = taken;
-    }
-    const bool prediction_correct =
-        (table.at(lastIndex).taken() ? lastBias : !lastBias) == taken;
-    table.classify(prediction_correct);
-    // Train toward "did the branch agree with its bias bit".
-    table.at(lastIndex).train(taken == lastBias);
+    updateStep<true>(pc, taken);
 }
 
 void
 Agree::updateHistory(bool taken)
 {
-    history.push(taken);
+    historyStep(taken);
 }
 
 void
@@ -87,7 +61,7 @@ Agree::clearCollisionStats()
 Count
 Agree::lastPredictCollisions() const
 {
-    return table.pending();
+    return pendingStep();
 }
 
 BPSIM_REGISTER_PREDICTOR(
@@ -100,7 +74,7 @@ BPSIM_REGISTER_PREDICTOR(
                 return std::make_unique<Agree>(bytes);
             },
         .paperKind = false,
-        .kernelCapable = false,
+        .kernelCapable = true,
     })
 
 } // namespace bpsim

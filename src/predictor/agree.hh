@@ -28,6 +28,7 @@
 #include "predictor/counter_table.hh"
 #include "predictor/global_history.hh"
 #include "predictor/predictor.hh"
+#include "support/bits.hh"
 
 namespace bpsim
 {
@@ -64,8 +65,52 @@ class Agree : public BranchPredictor
     /** Number of branches with an assigned bias bit. */
     std::size_t biasBitCount() const { return biasBits.size(); }
 
+    /**
+     * Non-virtual predict(), the per-branch protocol the
+     * devirtualized replay kernels call; the virtual interface
+     * forwards to these *Step methods.
+     */
+    template <bool Track>
+    bool
+    predictStep(Addr pc)
+    {
+        lastIndex = static_cast<std::size_t>(hashPcHistoryXor(
+            pc / instructionBytes, history.value(), table.indexBits()));
+        const bool agree = table.lookup<Track>(lastIndex, pc).taken();
+
+        const auto it = biasBits.find(pc);
+        lastHadBias = it != biasBits.end();
+        // Before the first execution assigns a bias bit, fall back to
+        // backward-taken-style static default: predict not-taken.
+        lastBias = lastHadBias ? it->second : false;
+        return agree ? lastBias : !lastBias;
+    }
+
+    /** Non-virtual update(). */
+    template <bool Track>
+    void
+    updateStep(Addr pc, bool taken)
+    {
+        if (!lastHadBias) {
+            // First execution: latch the bias bit to the first outcome.
+            biasBits.emplace(pc, taken);
+            lastBias = taken;
+        }
+        auto counter = table.entry(lastIndex);
+        if constexpr (Track)
+            table.classify((counter.taken() ? lastBias : !lastBias) ==
+                           taken);
+        // Train toward "did the branch agree with its bias bit".
+        counter.train(taken == lastBias);
+    }
+
+    /** Non-virtual updateHistory(). */
+    void historyStep(bool taken) { history.push(taken); }
+
+    /** Non-virtual lastPredictCollisions(). */
+    Count pendingStep() const { return table.pending(); }
+
   private:
-    std::size_t index(Addr pc) const;
 
     CounterTable table;
     GlobalHistory history;

@@ -102,6 +102,26 @@ class ContextAliasSink
         pending.push_back(static_cast<std::uint32_t>(cell));
     }
 
+    /**
+     * note() and classify(@p correct) in one step, for callers that
+     * already know the round's outcome when the collision happens
+     * (the batch kernels' apply pass). Leaves the pending list alone.
+     */
+    void
+    noteClassified(Addr pc, Addr tag, bool correct)
+    {
+        const std::size_t victim = contextOfPc(pc);
+        const std::size_t aggressor = contextOfPc(tag);
+        if (victim >= n || aggressor >= n)
+            return;
+        ContextAliasCell &cell = matrix[victim * n + aggressor];
+        ++cell.collisions;
+        if (correct)
+            ++cell.constructive;
+        else
+            ++cell.destructive;
+    }
+
     /** Bucket every pending collision by this round's outcome. */
     void
     classify(bool correct)

@@ -153,7 +153,7 @@ class CounterTable
             const bool collided = tag != invalidTag && tag != pc;
             collisionStats.collisions += collided;
             pendingCollisions += collided;
-            if (collided && aliasSink != nullptr)
+            if (aliasSink != nullptr && collided)
                 aliasSink->note(pc, tag);
             tags[index] = pc;
         } else {
@@ -222,6 +222,9 @@ class CounterTable
      * flush protocol is documented on ContextAliasSink.
      */
     void setAliasSink(ContextAliasSink *sink) { aliasSink = sink; }
+
+    /** The attached attribution sink (null when detached). */
+    ContextAliasSink *attachedAliasSink() const { return aliasSink; }
 
     /**
      * @name Raw structure-of-arrays access for the batch kernels

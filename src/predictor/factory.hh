@@ -19,6 +19,7 @@
 #include <typeinfo>
 #include <vector>
 
+#include "predictor/agree.hh"
 #include "predictor/bimodal.hh"
 #include "predictor/bimode.hh"
 #include "predictor/ghist.hh"
@@ -81,7 +82,8 @@ std::unique_ptr<BranchPredictor> makePredictor(const std::string &spec);
     X(BiMode)                                                          \
     X(TwoBcGskew)                                                      \
     X(Tage)                                                            \
-    X(HashedPerceptron)
+    X(HashedPerceptron)                                                \
+    X(Agree)
 
 /**
  * Dispatch on the concrete type of @p predictor: invoke @p visitor

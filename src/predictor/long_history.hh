@@ -31,22 +31,20 @@ class LongHistory
 {
   public:
     /** @param bits number of outcomes retained (1..128). */
-    explicit LongHistory(BitCount bits) : numBits(bits)
+    explicit LongHistory(BitCount bits)
+        : masks{mask(bits < 64 ? bits : 64), mask(bits > 64 ? bits - 64 : 0)},
+          numBits(bits)
     {
         bpsim_assert(bits >= 1 && bits <= 128, "bad history width");
     }
 
     /** Shift in one outcome. */
-    void
+    BPSIM_ALWAYS_INLINE void
     push(bool taken)
     {
         const std::uint64_t carry = words[0] >> 63;
-        words[0] = (words[0] << 1) | (taken ? 1 : 0);
-        words[1] = (words[1] << 1) | carry;
-        if (numBits <= 64)
-            words[0] &= mask(numBits);
-        else
-            words[1] &= mask(numBits - 64);
+        words[0] = ((words[0] << 1) | (taken ? 1 : 0)) & masks[0];
+        words[1] = ((words[1] << 1) | carry) & masks[1];
     }
 
     /** The outcome @p pos branches ago (0 = most recent). */
@@ -54,9 +52,14 @@ class LongHistory
     bit(BitCount pos) const
     {
         bpsim_assert(pos < numBits, "history bit out of range");
-        if (pos < 64)
-            return ((words[0] >> pos) & 1) != 0;
-        return ((words[1] >> (pos - 64)) & 1) != 0;
+        return bitAt(pos);
+    }
+
+    /** bit() without the range check; @p pos must be below width(). */
+    BPSIM_ALWAYS_INLINE bool
+    bitAt(BitCount pos) const
+    {
+        return ((words[pos / 64] >> (pos % 64)) & 1) != 0;
     }
 
     /** Register width in bits. */
@@ -67,6 +70,7 @@ class LongHistory
 
   private:
     std::array<std::uint64_t, 2> words{};
+    std::array<std::uint64_t, 2> masks;
     BitCount numBits;
 };
 
@@ -86,14 +90,16 @@ class FoldedHistory
   public:
     FoldedHistory() = default;
 
-    FoldedHistory(BitCount orig_len, BitCount comp_len)
-        : origLen(orig_len), compLen(comp_len),
+    FoldedHistory(BitCount orig_len, BitCount comp_len,
+                  std::uint64_t value = 0)
+        : comp(value), origLen(orig_len), compLen(comp_len),
           outPoint(orig_len % comp_len)
     {
         bpsim_assert(comp_len >= 1 && comp_len < 64,
                      "bad folded width");
         bpsim_assert(orig_len >= comp_len,
                      "fold wider than its window");
+        bpsim_assert(value <= mask(comp_len), "fold value too wide");
     }
 
     /**
@@ -140,6 +146,75 @@ class FoldedHistory
     BitCount origLen = 0;
     BitCount compLen = 1;
     BitCount outPoint = 0;
+};
+
+/**
+ * @p N FoldedHistory CSRs advanced in lockstep, stored as structure
+ * of arrays so one update is a fixed-trip loop of shifts and XORs
+ * over the lanes that the compiler can vectorize (variable per-lane
+ * shifts under AVX2). Lane j follows exactly FoldedHistory's update
+ * rule; lanes never configured stay 0 (their mask is empty).
+ */
+template <std::size_t N>
+class FoldedHistoryBank
+{
+  public:
+    /** Make lane @p j the fold of @p orig_len outcomes to
+     * @p comp_len bits (same constraints as FoldedHistory). */
+    void
+    configure(std::size_t j, BitCount orig_len, BitCount comp_len)
+    {
+        bpsim_assert(j < N, "fold lane out of range");
+        bpsim_assert(comp_len >= 1 && comp_len < 64, "bad folded width");
+        bpsim_assert(orig_len >= comp_len, "fold wider than its window");
+        origLen[j] = orig_len;
+        compLen[j] = comp_len;
+        outPoint[j] = orig_len % comp_len;
+        compMask[j] = mask(comp_len);
+    }
+
+    /**
+     * Advance every lane by one branch: @p in_bit enters each window
+     * and @p out_bits[j] (the oldest bit of lane j's window before
+     * this push, 0 or 1) leaves it.
+     */
+    BPSIM_ALWAYS_INLINE void
+    update(bool in_bit, const std::array<std::uint64_t, N> &out_bits)
+    {
+        const std::uint64_t in = in_bit ? 1 : 0;
+        // Fully unrolled, so the lanes can live in registers across
+        // a caller's record loop.
+#pragma GCC unroll 16
+        for (std::size_t j = 0; j < N; ++j) {
+            std::uint64_t c = (comp[j] << 1) | in;
+            c ^= out_bits[j] << outPoint[j];
+            c ^= c >> compLen[j];
+            comp[j] = c & compMask[j];
+        }
+    }
+
+    /** Lane @p j's folded value. */
+    std::uint64_t value(std::size_t j) const { return comp[j]; }
+
+    /** Lane @p j as a standalone FoldedHistory (for introspection). */
+    FoldedHistory
+    lane(std::size_t j) const
+    {
+        return FoldedHistory(static_cast<BitCount>(origLen[j]),
+                             static_cast<BitCount>(compLen[j]), comp[j]);
+    }
+
+    /** Reset every lane to the all-not-taken state. */
+    void clear() { comp.fill(0); }
+
+  private:
+    // 64-bit lanes throughout, so the update's shifts and masks are
+    // uniform; an unconfigured lane has an empty mask and stays 0.
+    std::array<std::uint64_t, N> comp{};
+    std::array<std::uint64_t, N> origLen{};
+    std::array<std::uint64_t, N> compLen{};
+    std::array<std::uint64_t, N> outPoint{};
+    std::array<std::uint64_t, N> compMask{};
 };
 
 } // namespace bpsim

@@ -1,5 +1,7 @@
 #include "predictor/perceptron.hh"
 
+#include <algorithm>
+
 #include "predictor/registry.hh"
 
 namespace bpsim
@@ -19,19 +21,29 @@ floorPow2Entries(std::size_t value)
 
 } // namespace
 
+HashedPerceptron::HistoryFolds::HistoryFolds(BitCount index_bits)
+{
+    for (unsigned t = 1; t < numTables; ++t) {
+        folds.configure(t, featureBits[t],
+                        std::min<BitCount>(index_bits, featureBits[t]));
+    }
+}
+
 HashedPerceptron::HashedPerceptron(std::size_t size_bytes)
-    : history(64),
+    : indexBits(floorLog2(floorPow2Entries(size_bytes / numTables))),
+      indexMask(mask(indexBits)), folds(indexBits),
       // Jiménez's fitted threshold, with the table count standing in
       // for the history length a monolithic perceptron would use.
       trainingThreshold(2 * static_cast<int>(numTables) + 6)
 {
     bpsim_assert(size_bytes >= 16, "perceptron budget too small");
-    const std::size_t entries =
-        floorPow2Entries(size_bytes / numTables);
     tables.reserve(numTables);
-    for (unsigned t = 0; t < numTables; ++t)
-        tables.emplace_back(entries, BitCount{8},
+    for (unsigned t = 0; t < numTables; ++t) {
+        tables.emplace_back(std::size_t{1} << indexBits, BitCount{8},
                             static_cast<std::uint8_t>(weightBias));
+        if (t > 0)
+            salts[t] = foldBits(mix64(t), indexBits);
+    }
 }
 
 bool
@@ -57,7 +69,7 @@ HashedPerceptron::reset()
 {
     for (CounterTable &table : tables)
         table.reset();
-    history.clear();
+    folds.clear();
     last = LookupState{};
 }
 
@@ -111,6 +123,7 @@ BPSIM_REGISTER_PREDICTOR(
             },
         .paperKind = false,
         .kernelCapable = true,
+        .batchCapable = true,
     })
 
 } // namespace bpsim

@@ -27,7 +27,7 @@
 #include <vector>
 
 #include "predictor/counter_table.hh"
-#include "predictor/global_history.hh"
+#include "predictor/long_history.hh"
 #include "predictor/predictor.hh"
 #include "support/bits.hh"
 
@@ -72,15 +72,66 @@ class HashedPerceptron : public BranchPredictor
             table.setAliasSink(sink);
     }
 
+    /**
+     * Global history plus each table's fold of its history slice,
+     * advanced together one outcome at a time (folded-history CSRs,
+     * see long_history.hh, so an index costs no per-lookup fold). The
+     * batch kernels evolve a copy of it as their history shadow.
+     */
+    class HistoryFolds
+    {
+      public:
+        /** @param index_bits the tables' (shared) index width. */
+        explicit HistoryFolds(BitCount index_bits);
+
+        /** Shift in one outcome and advance every slice fold. */
+        BPSIM_ALWAYS_INLINE void
+        push(bool taken)
+        {
+            // Table t's window loses the outcome featureBits[t] - 1
+            // branches back (the bias table's lane is never
+            // configured, so its out bit is ignored).
+            std::array<std::uint64_t, numTables> out_bits;
+#pragma GCC unroll 8
+            for (unsigned t = 0; t < numTables; ++t) {
+                const unsigned oldest =
+                    featureBits[t] == 0 ? 0 : featureBits[t] - 1;
+                out_bits[t] = (history >> oldest) & 1;
+            }
+            history = (history << 1) | (taken ? 1 : 0);
+            folds.update(taken, out_bits);
+        }
+
+        /** Table @p t's history-slice fold (0 for the bias table). */
+        std::uint64_t fold(unsigned t) const { return folds.value(t); }
+
+        /** The raw 64-outcome global history register. */
+        std::uint64_t value() const { return history; }
+
+        void
+        clear()
+        {
+            history = 0;
+            folds.clear();
+        }
+
+      private:
+        std::uint64_t history = 0;
+        FoldedHistoryBank<numTables> folds;
+    };
+
+    /** Table indices of one lookup, latched from predict to update. */
+    using Indices = std::array<std::size_t, numTables>;
+
     /** Non-virtual predict(): sign of the selected-weight sum. */
     template <bool Track>
     bool
     predictStep(Addr pc)
     {
-        const std::uint64_t pc_index = pc / instructionBytes;
+        indicesFor(foldBits(pc / instructionBytes, indexBits), folds,
+                   last.idx);
         int sum = 0;
         for (unsigned t = 0; t < numTables; ++t) {
-            last.idx[t] = tableIndex(t, pc_index);
             sum += static_cast<int>(
                        tables[t].lookup<Track>(last.idx[t], pc).value()) -
                    weightBias;
@@ -88,6 +139,21 @@ class HashedPerceptron : public BranchPredictor
         last.sum = sum;
         last.finalPred = sum >= 0;
         return last.finalPred;
+    }
+
+    /**
+     * Table indices for a branch whose PC index folds to @p pc_fold
+     * (at the tables' index width) under history @p history: the PC
+     * fold, the table's history-slice fold and the table's salt,
+     * XORed and masked.
+     */
+    void
+    indicesFor(std::uint64_t pc_fold, const HistoryFolds &history,
+               Indices &out) const
+    {
+#pragma GCC unroll 8
+        for (unsigned t = 0; t < numTables; ++t)
+            out[t] = (pc_fold ^ history.fold(t) ^ salts[t]) & indexMask;
     }
 
     /** Non-virtual update(): perceptron training rule. */
@@ -111,7 +177,7 @@ class HashedPerceptron : public BranchPredictor
     }
 
     /** Non-virtual updateHistory(). */
-    void historyStep(bool taken) { history.push(taken); }
+    void historyStep(bool taken) { folds.push(taken); }
 
     /** Non-virtual lastPredictCollisions(). */
     Count
@@ -138,32 +204,33 @@ class HashedPerceptron : public BranchPredictor
 
     /** Signed weight of table @p t, entry @p idx. */
     int weightAt(unsigned t, std::size_t idx) const;
+
+    /** Index into table @p t latched by the last predict. */
+    std::size_t lastIndex(unsigned t) const { return last.idx[t]; }
+
+    /** The global history register (LSB = most recent outcome). */
+    std::uint64_t historyValue() const { return folds.value(); }
     ///@}
 
   private:
-    std::size_t
-    tableIndex(unsigned t, std::uint64_t pc_index) const
-    {
-        const BitCount bits = tables[t].indexBits();
-        const std::uint64_t hist =
-            foldBits(history.recent(featureBits[t]), bits);
-        // mix64 of the table number decorrelates tables that share a
-        // history slice width with their neighbors (t = 0 keeps the
-        // plain PC index so the bias table is a true per-branch bias).
-        const std::uint64_t salt =
-            t == 0 ? 0 : foldBits(mix64(t), bits);
-        return tables[t].indexFor(foldBits(pc_index, bits) ^ hist ^
-                                  salt);
-    }
+    template <typename> friend struct BatchTraits;
 
     std::vector<CounterTable> tables;
-    GlobalHistory history;
+    BitCount indexBits;
+    std::size_t indexMask;
+    HistoryFolds folds;
     int trainingThreshold;
+
+    // Per-table index salt: mix64 of the table number decorrelates
+    // tables that share a history slice width with their neighbors
+    // (table 0 keeps the plain PC index so the bias table is a true
+    // per-branch bias).
+    std::array<std::uint64_t, numTables> salts{};
 
     // Lookup state latched by predict() for update().
     struct LookupState
     {
-        std::array<std::size_t, numTables> idx{};
+        Indices idx{};
         int sum = 0;
         bool finalPred = false;
     } last;

@@ -123,8 +123,8 @@ class BranchPredictor
      * (null detaches). Implementations forward the sink to every
      * component CounterTable; predictors without tagged counter
      * tables ignore it, reporting no attribution. Only meaningful
-     * under tracked (record-at-a-time) simulation — the runner
-     * disables batch kernels for scenario cells.
+     * under tracked simulation; the batch kernels attribute through
+     * the same sink (Tracking::Contexts in core/batch_kernels.hh).
      */
     virtual void attachAliasSink(ContextAliasSink *sink)
     {

@@ -51,8 +51,8 @@ struct PredictorInfo
     bool kernelCapable = false;
 
     /**
-     * The SIMD batch-replay kernels cover this concrete type (it is
-     * listed in BPSIM_BATCH_PREDICTORS); false means batched
+     * The SIMD batch-replay kernels cover this concrete type
+     * (hasBatchKernels in core/batch_kernels.hh); false means batched
      * evaluation falls back to the record-at-a-time kernel.
      */
     bool batchCapable = false;

@@ -25,29 +25,33 @@ constexpr std::size_t bankEntryBits = Tage::predBits + 2 + Tage::tagBits;
 
 } // namespace
 
+Tage::HistoryFolds::HistoryFolds(BitCount index_bits)
+{
+    for (unsigned b = 0; b < numBanks; ++b) {
+        const BitCount hist = historyLengths[b];
+        folds.configure(b, hist, std::min<BitCount>(index_bits, hist));
+        folds.configure(numBanks + b, hist,
+                        std::min<BitCount>(tagBits, hist));
+        folds.configure(2 * numBanks + b, hist,
+                        std::min<BitCount>(tagBits - 1, hist));
+    }
+}
+
 Tage::Tage(std::size_t size_bytes, Count age_period)
     : base(floorPow2Entries(size_bytes * 8 / 2 / predBits), predBits,
            SatCounter::weak(predBits, false).value()),
-      history(historyLengths.back()), agePeriod(age_period)
+      bankIndexBits(floorLog2(floorPow2Entries(
+          size_bytes * 8 / 2 / numBanks / bankEntryBits))),
+      bankIndexMask(mask(bankIndexBits)), folds(bankIndexBits),
+      agePeriod(age_period)
 {
     bpsim_assert(size_bytes >= 16, "tage budget too small");
     bpsim_assert(age_period > 0, "tage age period must be positive");
 
-    const std::size_t bank_bits = size_bytes * 8 / 2 / numBanks;
-    const std::size_t entries =
-        floorPow2Entries(bank_bits / bankEntryBits);
     banks.reserve(numBanks);
     for (unsigned b = 0; b < numBanks; ++b) {
-        banks.emplace_back(entries,
+        banks.emplace_back(std::size_t{1} << bankIndexBits,
                            SatCounter::weak(predBits, false).value());
-        Bank &bank = banks.back();
-        const BitCount hist = historyLengths[b];
-        bank.idxFold = FoldedHistory(
-            hist, std::min<BitCount>(bank.pred.indexBits(), hist));
-        bank.tagFold1 =
-            FoldedHistory(hist, std::min<BitCount>(tagBits, hist));
-        bank.tagFold2 =
-            FoldedHistory(hist, std::min<BitCount>(tagBits - 1, hist));
     }
 }
 
@@ -77,11 +81,8 @@ Tage::reset()
         bank.pred.reset();
         std::fill(bank.tags.begin(), bank.tags.end(), 0);
         std::fill(bank.useful.begin(), bank.useful.end(), 0);
-        bank.idxFold.clear();
-        bank.tagFold1.clear();
-        bank.tagFold2.clear();
     }
-    history.clear();
+    folds.clear();
     updatesSinceAging = 0;
     allocations = 0;
     agingEvents = 0;
@@ -138,14 +139,14 @@ std::size_t
 Tage::lastBankIndex(unsigned b) const
 {
     bpsim_assert(b < numBanks, "bank out of range");
-    return last.idx[b];
+    return last.at.idx[b];
 }
 
 std::uint8_t
 Tage::lastBankTag(unsigned b) const
 {
     bpsim_assert(b < numBanks, "bank out of range");
-    return last.tag[b];
+    return last.at.tag[b];
 }
 
 bool
@@ -171,19 +172,19 @@ Tage::usefulAt(unsigned b, std::size_t idx) const
     return banks[b].useful[idx];
 }
 
-const FoldedHistory &
+FoldedHistory
 Tage::bankIndexFold(unsigned b) const
 {
     bpsim_assert(b < numBanks, "bank out of range");
-    return banks[b].idxFold;
+    return folds.folds.lane(b);
 }
 
 void
-Tage::allocate(bool taken)
+Tage::allocate(int provider, const Coords &at, bool taken)
 {
     int victim = -1;
-    for (unsigned b = last.provider + 1; b < numBanks; ++b) {
-        if (banks[b].useful[last.idx[b]] == 0) {
+    for (unsigned b = provider + 1; b < numBanks; ++b) {
+        if (banks[b].useful[at.idx[b]] == 0) {
             victim = static_cast<int>(b);
             break;
         }
@@ -191,15 +192,15 @@ Tage::allocate(bool taken)
     if (victim < 0) {
         // Every candidate is protected: decay them all so a later
         // misprediction can get through.
-        for (unsigned b = last.provider + 1; b < numBanks; ++b) {
-            std::uint8_t &useful = banks[b].useful[last.idx[b]];
+        for (unsigned b = provider + 1; b < numBanks; ++b) {
+            std::uint8_t &useful = banks[b].useful[at.idx[b]];
             useful -= useful > 0 ? 1 : 0;
         }
         return;
     }
     Bank &bank = banks[victim];
-    const std::size_t idx = last.idx[victim];
-    bank.tags[idx] = last.tag[victim];
+    const std::size_t idx = at.idx[victim];
+    bank.tags[idx] = at.tag[victim];
     bank.useful[idx] = 0;
     bank.pred.entry(idx).set(
         SatCounter::weak(predBits, taken).value());
@@ -229,6 +230,7 @@ BPSIM_REGISTER_PREDICTOR(
             },
         .paperKind = false,
         .kernelCapable = true,
+        .batchCapable = true,
     })
 
 } // namespace bpsim

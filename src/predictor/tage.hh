@@ -85,24 +85,90 @@ class Tage : public BranchPredictor
             bank.pred.setAliasSink(sink);
     }
 
+    /**
+     * The long history plus every bank's folded images of it (index
+     * and the two tag folds), advanced together one outcome at a
+     * time. The batch kernels evolve a copy of it as their history
+     * shadow.
+     */
+    struct HistoryFolds
+    {
+        /** @param index_bits the banks' (shared) index width. */
+        explicit HistoryFolds(BitCount index_bits);
+
+        /** Fold lanes: bank b's index fold is lane b, its two tag
+         * folds lanes numBanks + b and 2 * numBanks + b. */
+        static constexpr std::size_t lanes = 3 * numBanks;
+
+        /** Shift in one outcome and advance every fold. */
+        BPSIM_ALWAYS_INLINE void
+        push(bool taken)
+        {
+            // The register is historyLengths.back() long, so every
+            // bank's oldest bit is in range.
+            std::array<std::uint64_t, lanes> out_bits;
+#pragma GCC unroll 4
+            for (unsigned b = 0; b < numBanks; ++b) {
+                const std::uint64_t out =
+                    history.bitAt(historyLengths[b] - 1) ? 1 : 0;
+                out_bits[b] = out;
+                out_bits[numBanks + b] = out;
+                out_bits[2 * numBanks + b] = out;
+            }
+            history.push(taken);
+            folds.update(taken, out_bits);
+        }
+
+        std::uint64_t idx(unsigned b) const { return folds.value(b); }
+        std::uint64_t
+        tag1(unsigned b) const
+        {
+            return folds.value(numBanks + b);
+        }
+        std::uint64_t
+        tag2(unsigned b) const
+        {
+            return folds.value(2 * numBanks + b);
+        }
+
+        void
+        clear()
+        {
+            history.clear();
+            folds.clear();
+        }
+
+        LongHistory history{historyLengths.back()};
+        FoldedHistoryBank<lanes> folds;
+    };
+
+    /** Table coordinates of one lookup: the base index and each
+     * bank's index and tag. */
+    struct Coords
+    {
+        std::size_t baseIdx = 0;
+        std::array<std::size_t, numBanks> idx{};
+        std::array<std::uint8_t, numBanks> tag{};
+    };
+
     /** Non-virtual predict(); see class comment. */
     template <bool Track>
     bool
     predictStep(Addr pc)
     {
         const std::uint64_t pc_index = pc / instructionBytes;
-        last.baseIdx = base.indexFor(pc_index);
-        last.basePred = base.lookup<Track>(last.baseIdx, pc).taken();
+        coordsFor(pc_index & base.indexMask(),
+                  foldBits(pc_index, bankIndexBits),
+                  foldBits(pc_index, tagBits), folds, last.at);
+        last.basePred = base.lookup<Track>(last.at.baseIdx, pc).taken();
 
         last.provider = -1;
         last.altPred = last.basePred;
         for (unsigned b = 0; b < numBanks; ++b) {
             Bank &bank = banks[b];
-            last.idx[b] = bankIndex(b, pc_index);
-            last.tag[b] = bankTag(b, pc_index);
-            last.hit[b] = bank.tags[last.idx[b]] == last.tag[b];
-            last.pred[b] =
-                bank.pred.lookup<Track>(last.idx[b], pc).taken();
+            const std::size_t idx = last.at.idx[b];
+            last.hit[b] = bank.tags[idx] == last.at.tag[b];
+            last.pred[b] = bank.pred.lookup<Track>(idx, pc).taken();
         }
         for (int b = numBanks - 1; b >= 0; --b) {
             if (last.hit[b]) {
@@ -124,6 +190,27 @@ class Tage : public BranchPredictor
         return last.finalPred;
     }
 
+    /**
+     * Coordinates of a branch under history @p history, given its
+     * PC-derived parts: @p base_idx (masked PC index) and the PC
+     * index folded to the bank index width (@p pc_idx_fold) and to
+     * the tag width (@p pc_tag_fold).
+     */
+    void
+    coordsFor(std::size_t base_idx, std::uint64_t pc_idx_fold,
+              std::uint64_t pc_tag_fold, const HistoryFolds &history,
+              Coords &out) const
+    {
+        out.baseIdx = base_idx;
+#pragma GCC unroll 4
+        for (unsigned b = 0; b < numBanks; ++b) {
+            out.idx[b] = (pc_idx_fold ^ history.idx(b)) & bankIndexMask;
+            out.tag[b] = static_cast<std::uint8_t>(
+                (pc_tag_fold ^ history.tag1(b) ^ (history.tag2(b) << 1)) &
+                mask(tagBits));
+        }
+    }
+
     /** Non-virtual update(): provider training, useful-bit update,
      * allocation-on-misprediction, periodic aging. */
     template <bool Track>
@@ -141,7 +228,7 @@ class Tage : public BranchPredictor
 
         if (last.provider >= 0) {
             Bank &provider = banks[last.provider];
-            const std::size_t idx = last.idx[last.provider];
+            const std::size_t idx = last.at.idx[last.provider];
 
             // The useful counter tracks "provider beat the alternate":
             // it only moves when they disagreed, toward whichever was
@@ -155,34 +242,20 @@ class Tage : public BranchPredictor
             }
             provider.pred.entry(idx).train(taken);
         } else {
-            base.entry(last.baseIdx).train(taken);
+            base.entry(last.at.baseIdx).train(taken);
         }
 
         // Allocate a longer-history entry on a misprediction (the
         // only time allocation happens — pinned by test_tagged.cc).
         if (!correct && last.provider < static_cast<int>(numBanks) - 1)
-            allocate(taken);
+            allocate(last.provider, last.at, taken);
 
-        if (++updatesSinceAging >= agePeriod)
-            ageUseful();
+        countUpdate();
     }
 
     /** Non-virtual updateHistory(): shift the long history and
      * advance every folded image of it. */
-    void
-    historyStep(bool taken)
-    {
-        std::array<bool, numBanks> out_bits;
-        for (unsigned b = 0; b < numBanks; ++b)
-            out_bits[b] = history.bit(historyLengths[b] - 1);
-        history.push(taken);
-        for (unsigned b = 0; b < numBanks; ++b) {
-            Bank &bank = banks[b];
-            bank.idxFold.update(taken, out_bits[b]);
-            bank.tagFold1.update(taken, out_bits[b]);
-            bank.tagFold2.update(taken, out_bits[b]);
-        }
-    }
+    void historyStep(bool taken) { folds.push(taken); }
 
     /** Non-virtual lastPredictCollisions(). */
     Count
@@ -225,21 +298,20 @@ class Tage : public BranchPredictor
 
     /** The incremental index fold of bank @p b (round-trip tests
      * compare it against FoldedHistory::recompute). */
-    const FoldedHistory &bankIndexFold(unsigned b) const;
+    FoldedHistory bankIndexFold(unsigned b) const;
 
     /** The long history register (for fold round-trip tests). */
-    const LongHistory &longHistory() const { return history; }
+    const LongHistory &longHistory() const { return folds.history; }
     ///@}
 
   private:
+    template <typename> friend struct BatchTraits;
+
     struct Bank
     {
         CounterTable pred;
         std::vector<std::uint8_t> tags;
         std::vector<std::uint8_t> useful;
-        FoldedHistory idxFold;
-        FoldedHistory tagFold1;
-        FoldedHistory tagFold2;
 
         Bank(std::size_t entries, std::uint8_t initial)
             : pred(entries, predBits, initial), tags(entries, 0),
@@ -248,37 +320,30 @@ class Tage : public BranchPredictor
         }
     };
 
-    std::size_t
-    bankIndex(unsigned b, std::uint64_t pc_index) const
-    {
-        const Bank &bank = banks[b];
-        return bank.pred.indexFor(
-            foldBits(pc_index, bank.pred.indexBits()) ^
-            bank.idxFold.value());
-    }
+    /** Steal an entry in a bank longer than @p provider at the
+     * coordinates @p at: the first candidate with a zero useful
+     * counter gets it (initialized to the weak counter of the
+     * outcome); when every candidate is protected, their useful
+     * counters decay instead. */
+    void allocate(int provider, const Coords &at, bool taken);
 
-    std::uint8_t
-    bankTag(unsigned b, std::uint64_t pc_index) const
+    /** Count one update; every agePeriod updates, age the useful
+     * counters. */
+    void
+    countUpdate()
     {
-        const Bank &bank = banks[b];
-        return static_cast<std::uint8_t>(
-            (foldBits(pc_index, tagBits) ^ bank.tagFold1.value() ^
-             (bank.tagFold2.value() << 1)) &
-            mask(tagBits));
+        if (++updatesSinceAging >= agePeriod)
+            ageUseful();
     }
-
-    /** Steal an entry in a bank longer than the provider: the first
-     * candidate with a zero useful counter gets it (initialized to
-     * the weak counter of the outcome); when every candidate is
-     * protected, their useful counters decay instead. */
-    void allocate(bool taken);
 
     /** Halve every useful counter (periodic aging). */
     void ageUseful();
 
     CounterTable base;
     std::vector<Bank> banks;
-    LongHistory history;
+    BitCount bankIndexBits;
+    std::size_t bankIndexMask;
+    HistoryFolds folds;
 
     Count agePeriod;
     Count updatesSinceAging = 0;
@@ -288,9 +353,7 @@ class Tage : public BranchPredictor
     // Lookup state latched by predict() for update().
     struct LookupState
     {
-        std::size_t baseIdx = 0;
-        std::array<std::size_t, numBanks> idx{};
-        std::array<std::uint8_t, numBanks> tag{};
+        Coords at;
         std::array<bool, numBanks> hit{};
         std::array<bool, numBanks> pred{};
         bool basePred = false;

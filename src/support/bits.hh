@@ -12,6 +12,17 @@
 #include "support/logging.hh"
 #include "support/types.hh"
 
+/**
+ * Force inlining of a small header function. For hot inline code the
+ * batch kernels call: an out-of-line copy emitted by the AVX2
+ * translation unit could be the one the linker keeps for every caller.
+ */
+#if defined(__GNUC__) || defined(__clang__)
+#define BPSIM_ALWAYS_INLINE [[gnu::always_inline]] inline
+#else
+#define BPSIM_ALWAYS_INLINE inline
+#endif
+
 namespace bpsim
 {
 

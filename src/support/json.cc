@@ -35,7 +35,12 @@ typeName(JsonValue::Type type)
 
 } // namespace
 
-/** Recursive-descent parser over a complete in-memory document. */
+/**
+ * Recursive-descent parser over a complete in-memory document. Each
+ * nested array or object costs one level of recursion, so nesting is
+ * capped at JsonValue::maxDepth: a deeper document is rejected as
+ * config_invalid before it can exhaust the stack.
+ */
 class JsonParser
 {
   public:
@@ -190,6 +195,19 @@ class JsonParser
         }
     }
 
+    /** Enter one array/object level; rejects a too-deep document. */
+    void
+    descend()
+    {
+        if (++depth > JsonValue::maxDepth) {
+            raise(Error(ErrorCode::ConfigInvalid,
+                        where + ": offset " + std::to_string(pos) +
+                            ": nesting deeper than " +
+                            std::to_string(JsonValue::maxDepth) +
+                            " levels"));
+        }
+    }
+
     JsonValue
     parseValue()
     {
@@ -197,29 +215,39 @@ class JsonParser
         const char c = peek();
         switch (c) {
           case '{': {
+            descend();
             ++pos;
             value.valueType = JsonValue::Type::Object;
-            if (consume('}'))
+            if (consume('}')) {
+                --depth;
                 return value;
+            }
             while (true) {
                 std::string key = parseString();
                 expect(':');
                 value.objectMembers.emplace_back(std::move(key),
                                                  parseValue());
-                if (consume('}'))
+                if (consume('}')) {
+                    --depth;
                     return value;
+                }
                 expect(',');
             }
           }
           case '[': {
+            descend();
             ++pos;
             value.valueType = JsonValue::Type::Array;
-            if (consume(']'))
+            if (consume(']')) {
+                --depth;
                 return value;
+            }
             while (true) {
                 value.arrayItems.push_back(parseValue());
-                if (consume(']'))
+                if (consume(']')) {
+                    --depth;
                     return value;
+                }
                 expect(',');
             }
           }
@@ -259,6 +287,7 @@ class JsonParser
     const std::string &text;
     const std::string &where;
     std::size_t pos = 0;
+    std::size_t depth = 0;
 };
 
 JsonValue

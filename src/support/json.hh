@@ -48,11 +48,16 @@ class JsonValue
     /** Parse the whole file at @p path; fatal() if unreadable. */
     static JsonValue parseFile(const std::string &path);
 
+    /** Deepest array/object nesting a document may have. */
+    static constexpr std::size_t maxDepth = 1024;
+
     /**
      * Non-fatal parse: an io_failure Error (with @p where and the
      * byte offset in the message) instead of fatal() on malformed
-     * input. For readers of files the process did not generate under
-     * this run — checkpoints surviving crashes, user-supplied paths.
+     * input, and a config_invalid one for nesting deeper than
+     * maxDepth. For readers of bytes the process did not generate
+     * under this run — service request lines, checkpoints surviving
+     * crashes, user-supplied paths.
      */
     static Result<JsonValue> tryParse(const std::string &text,
                                       const std::string &where

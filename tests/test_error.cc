@@ -297,6 +297,40 @@ TEST(JsonTest, TryParseReturnsStructuredErrorOnGarbage)
     EXPECT_DOUBLE_EQ(good.value().at("a").asNumber(), 1.0);
 }
 
+TEST(JsonTest, NestingDepthIsBounded)
+{
+    const auto nested = [](std::size_t depth) {
+        return std::string(depth, '[') + std::string(depth, ']');
+    };
+
+    // A thousand levels is deep but legitimate: it parses.
+    const Result<JsonValue> deep = JsonValue::tryParse(nested(1000));
+    ASSERT_TRUE(deep.ok()) << deep.error().describe();
+    const JsonValue *level = &deep.value();
+    for (int i = 1; i < 1000; ++i) {
+        ASSERT_TRUE(level->isArray());
+        ASSERT_EQ(level->items().size(), 1u);
+        level = &level->items().front();
+    }
+    EXPECT_TRUE(level->isArray());
+    EXPECT_TRUE(level->items().empty());
+
+    // A nesting bomb is rejected before it can exhaust the stack,
+    // arrays and objects alike, as is one level past the limit.
+    std::string objects;
+    for (int i = 0; i < 100'000; ++i)
+        objects += "{\"a\":";
+    for (const std::string &bomb :
+         {nested(100'000), objects, nested(JsonValue::maxDepth + 1)}) {
+        const Result<JsonValue> bad = JsonValue::tryParse(bomb, "bomb");
+        ASSERT_FALSE(bad.ok());
+        EXPECT_EQ(bad.error().code(), ErrorCode::ConfigInvalid);
+        EXPECT_NE(bad.error().message().find("nesting deeper"),
+                  std::string::npos);
+    }
+    EXPECT_TRUE(JsonValue::tryParse(nested(JsonValue::maxDepth)).ok());
+}
+
 /** A fingerprint-friendly mini program (cheap to build). */
 SyntheticProgram
 fingerprintProgram(std::uint64_t seed = 0x5eed)

@@ -257,6 +257,11 @@ TEST_F(ServiceTest, MalformedRequestsAreStructuredErrors)
         service::parseRequest(
             R"({"schema": "bpsim-request-v1", "id": "c", "op": "cancel"})")
             .ok());
+    // A nesting bomb is a config_invalid reply, not a stack overflow.
+    const Result<service::ServiceRequest> bomb = service::parseRequest(
+        std::string(100'000, '[') + std::string(100'000, ']'));
+    ASSERT_FALSE(bomb.ok());
+    EXPECT_EQ(bomb.error().code(), ErrorCode::ConfigInvalid);
     // Unknown names fail compile, not the daemon.
     service::SweepSpec bad = smallSweep();
     bad.program = "no-such-program";

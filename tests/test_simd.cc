@@ -14,11 +14,19 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <memory>
 #include <string>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
+#include "core/batch_kernels.hh"
 #include "core/runner.hh"
 #include "core/simd.hh"
 #include "obs/run_journal.hh"
+#include "predictor/factory.hh"
+#include "predictor/registry.hh"
+#include "scenario/scenario.hh"
 #include "support/error.hh"
 #include "support/fault.hh"
 #include "workload/specint.hh"
@@ -222,51 +230,168 @@ TEST_F(SimdTest, BitIdenticalAcrossDispatchAtAnyThreadCount)
 }
 
 /**
- * The tagged family (tage, perceptron) publishes no batch kernels:
- * hasBatchKernels is false, so SIMD dispatch must fall back to the
- * record-at-a-time reference kernels in place — zero simdCells, and
- * results bit-identical to a SIMD-off run at any thread count, fused
- * or per-cell. Separate cell set so the kernelCells/2 arithmetic in
- * the batched-kind tests above is untouched.
+ * The tagged family and agree against the record-at-a-time reference
+ * (SIMD off, one thread, per cell): tage and perceptron through their
+ * batch kernels, agree through its devirtualized kernel, over plain
+ * programs and an SMT scenario (per-context stats and the
+ * victim x aggressor alias matrix included), with static hints under
+ * all three shift policies. Separate cell set so the kernelCells/2
+ * arithmetic in the batched-kind tests above is untouched.
  */
+struct TaggedCell
+{
+    std::string predictor;
+    bool scenario = false;
+    StaticScheme scheme = StaticScheme::None;
+};
+
+std::vector<TaggedCell> taggedCells;
+
 MatrixResult
 runTaggedMatrix(const RunnerOptions &options)
 {
     ExperimentRunner runner(options);
+    taggedCells.clear();
+    std::vector<std::pair<std::size_t, bool>> workloads;
     for (const auto id : {SpecProgram::Go, SpecProgram::Compress}) {
-        const std::size_t program =
-            runner.addProgram(makeSpecProgram(id, InputSet::Ref));
-        for (const char *predictor : {"tage", "perceptron"}) {
+        workloads.emplace_back(
+            runner.addProgram(makeSpecProgram(id, InputSet::Ref)), false);
+    }
+    std::vector<SyntheticProgram> members;
+    members.push_back(makeSpecProgram(SpecProgram::Go, InputSet::Ref));
+    members.push_back(
+        makeSpecProgram(SpecProgram::Compress, InputSet::Ref));
+    ScenarioSpec smt;
+    smt.kind = ScenarioKind::Smt;
+    workloads.emplace_back(
+        runner.addWorkload(
+            std::make_unique<ScenarioWorkload>(smt, std::move(members))),
+        true);
+
+    for (const auto &[workload, scenario] : workloads) {
+        for (const char *predictor : {"tage", "perceptron", "agree"}) {
             for (const auto scheme :
-                 {StaticScheme::None, StaticScheme::Static95}) {
-                ExperimentConfig config;
-                config.predictor = predictor;
-                config.sizeBytes = 2048;
-                config.scheme = scheme;
-                config.profileBranches = testProfileBranches;
-                config.evalBranches = testEvalBranches;
-                runner.addCell(program, config);
+                 {StaticScheme::None, StaticScheme::Static95,
+                  StaticScheme::StaticAcc}) {
+                for (const auto shift :
+                     {ShiftPolicy::NoShift, ShiftPolicy::ShiftOutcome,
+                      ShiftPolicy::ShiftPrediction}) {
+                    // Without hints the policy has nothing to act on.
+                    if (scheme == StaticScheme::None &&
+                        shift != ShiftPolicy::NoShift)
+                        continue;
+                    ExperimentConfig config;
+                    config.predictor = predictor;
+                    config.sizeBytes = 2048;
+                    config.scheme = scheme;
+                    config.shift = shift;
+                    config.profileBranches = testProfileBranches / 2;
+                    config.evalBranches = testEvalBranches / 2;
+                    if (scenario)
+                        config.scenarioContexts = 2;
+                    runner.addCell(workload, config);
+                    taggedCells.push_back({predictor, scenario, scheme});
+                }
             }
         }
     }
     return runner.run();
 }
 
-TEST_F(SimdTest, TaggedFamilyFallsBackToReferenceBitIdentically)
+void
+expectSameAttribution(const MatrixResult &got, const MatrixResult &ref)
+{
+    ASSERT_EQ(got.cells.size(), ref.cells.size());
+    for (std::size_t i = 0; i < got.cells.size(); ++i) {
+        const ExperimentResult &a = got.cells[i].result;
+        const ExperimentResult &b = ref.cells[i].result;
+        ASSERT_EQ(a.contextStats.size(), b.contextStats.size())
+            << "cell " << i;
+        for (std::size_t c = 0; c < a.contextStats.size(); ++c) {
+            EXPECT_EQ(a.contextStats[c].branches,
+                      b.contextStats[c].branches);
+            EXPECT_EQ(a.contextStats[c].instructions,
+                      b.contextStats[c].instructions);
+            EXPECT_EQ(a.contextStats[c].mispredictions,
+                      b.contextStats[c].mispredictions)
+                << "cell " << i << " context " << c;
+            EXPECT_EQ(a.contextStats[c].staticPredicted,
+                      b.contextStats[c].staticPredicted);
+            EXPECT_EQ(a.contextStats[c].collisions,
+                      b.contextStats[c].collisions)
+                << "cell " << i << " context " << c;
+        }
+        ASSERT_EQ(a.aliasMatrix.size(), b.aliasMatrix.size())
+            << "cell " << i;
+        for (std::size_t k = 0; k < a.aliasMatrix.size(); ++k) {
+            EXPECT_EQ(a.aliasMatrix[k].collisions,
+                      b.aliasMatrix[k].collisions)
+                << "cell " << i << " pair " << k;
+            EXPECT_EQ(a.aliasMatrix[k].constructive,
+                      b.aliasMatrix[k].constructive)
+                << "cell " << i << " pair " << k;
+            EXPECT_EQ(a.aliasMatrix[k].destructive,
+                      b.aliasMatrix[k].destructive)
+                << "cell " << i << " pair " << k;
+        }
+    }
+}
+
+TEST_F(SimdTest, TaggedFamilyBatchesBitIdenticallyToReference)
 {
     const MatrixResult ref =
         runTaggedMatrix(matrixOptions(1, false, false));
     EXPECT_EQ(ref.simdCells, 0u);
     EXPECT_EQ(ref.kernelCells, ref.cells.size());
+    for (std::size_t i = 0; i < ref.cells.size(); ++i) {
+        ASSERT_TRUE(ref.cells[i].ok()) << "cell " << i;
+        // The scenario cells carry a non-trivial alias matrix.
+        EXPECT_EQ(ref.cells[i].result.aliasMatrix.empty(),
+                  !taggedCells[i].scenario);
+    }
+
+    // Fused passes batch every tage and perceptron cell, scenario
+    // cells included; per-cell runs batch only the plain dynamic
+    // (scheme-none, non-scenario) ones. Agree has no batch kernel.
+    std::size_t fused_batched = 0;
+    std::size_t per_cell_batched = 0;
+    for (const TaggedCell &cell : taggedCells) {
+        if (cell.predictor == "agree")
+            continue;
+        ++fused_batched;
+        if (!cell.scenario && cell.scheme == StaticScheme::None)
+            ++per_cell_batched;
+    }
 
     for (const unsigned threads : {1u, 2u, 4u}) {
         for (const bool fused : {false, true}) {
             const MatrixResult got = runTaggedMatrix(
                 matrixOptions(threads, fused, true));
             expectSameMatrix(got, ref);
-            EXPECT_EQ(got.simdCells, 0u)
+            expectSameAttribution(got, ref);
+            EXPECT_EQ(got.simdCells,
+                      fused ? fused_batched : per_cell_batched)
                 << threads << " threads, fused=" << fused;
         }
+    }
+}
+
+TEST_F(SimdTest, RegistryCapabilityFlagsMatchTheKernelDispatch)
+{
+    // `bpsim_cli list` prints kernelCapable/batchCapable from the
+    // registry; they must say what the dispatch actually does.
+    for (const PredictorInfo *info :
+         PredictorRegistry::instance().all()) {
+        auto predictor = info->make(info->defaultBytes);
+        bool batch = false;
+        const bool kernel =
+            visitPredictor(*predictor, [&](auto &concrete) {
+                using P = std::decay_t<decltype(concrete)>;
+                batch = static_cast<bool>(
+                    batchKernelsFor<P>(SimdLevel::Scalar));
+            });
+        EXPECT_EQ(kernel, info->kernelCapable) << info->name;
+        EXPECT_EQ(batch, info->batchCapable) << info->name;
     }
 }
 

@@ -18,6 +18,7 @@
 
 #include "core/checkpoint.hh"
 #include "core/runner.hh"
+#include "predictor/context_alias.hh"
 #include "predictor/long_history.hh"
 #include "predictor/perceptron.hh"
 #include "predictor/tage.hh"
@@ -210,6 +211,45 @@ TEST(TageTest, UsefulCountersSaturateAndAgePeriodically)
     // Periodic halving keeps the aged copy's counters strictly
     // leaner than the frozen one's over the same stream.
     EXPECT_LT(usefulSum(aged), usefulSum(frozen));
+}
+
+TEST(PerceptronTest, IncrementalIndicesMatchTheFromScratchFormula)
+{
+    // The hoisted salts, the once-per-predict PC fold and the
+    // incrementally folded history slices must reproduce the textbook
+    // index foldBits(pc) ^ foldBits(history slice) ^ salt, for every
+    // table, at index widths below, inside and above the slice
+    // lengths, over narrow and wide (context-rebased) PCs.
+    for (const std::size_t bytes : {16u, 64u, 512u, 2048u, 65536u}) {
+        HashedPerceptron perceptron(bytes);
+        const BitCount bits = floorLog2(perceptron.tableEntries());
+        Stream stream(0x1d3a + bytes);
+        for (int i = 0; i < 20'000; ++i) {
+            const Addr pc =
+                (i % 3) == 0
+                    ? contextPcBase(stream.next() % 4) + (Addr{1} << 32) +
+                          (stream.next() % 4096) * instructionBytes
+                    : stream.pc();
+            const bool taken = stream.bit();
+            perceptron.predict(pc);
+            const std::uint64_t history = perceptron.historyValue();
+            for (unsigned t = 0; t < HashedPerceptron::numTables; ++t) {
+                const std::uint64_t slice =
+                    history & mask(HashedPerceptron::featureBits[t]);
+                const std::uint64_t salt =
+                    t == 0 ? 0 : foldBits(mix64(t), bits);
+                const std::uint64_t expected =
+                    (foldBits(pc / instructionBytes, bits) ^
+                     foldBits(slice, bits) ^ salt) &
+                    mask(bits);
+                ASSERT_EQ(perceptron.lastIndex(t), expected)
+                    << bytes << " bytes, table " << t << ", step "
+                    << i;
+            }
+            perceptron.update(pc, taken);
+            perceptron.updateHistory(taken);
+        }
+    }
 }
 
 TEST(PerceptronTest, WeightsStayInSaturationBounds)
