@@ -28,11 +28,17 @@ namespace
 // key byte is detected; the payload is structurally validated via
 // the size fields but not checksummed (see the file comment in the
 // header).
+//
+// Replay payload (v2): the site-id column (records x u32, starting
+// on the 64-byte payload boundary), the packed gap/taken column
+// (records x u32) and the site table (sites x u64 PCs, 8-byte
+// aligned since both columns together span a multiple of 8 bytes).
+// Profile payload (v1): records x ProfileEntry; `sites` stays 0.
 struct FileHeader
 {
     char magic[8];
     std::uint32_t version;
-    std::uint32_t reserved;
+    std::uint32_t sites;
     std::uint64_t keyBytes;
     std::uint64_t records;
     std::uint64_t extra; // instructions (replay) / simulated (profile)
@@ -44,7 +50,8 @@ static_assert(sizeof(FileHeader) == 64, "cache header must be 64 bytes");
 
 constexpr char replayMagic[8] = {'B', 'P', 'R', 'C', 0, 'v', '1', 0};
 constexpr char profileMagic[8] = {'B', 'P', 'P', 'F', 0, 'v', '1', 0};
-constexpr std::uint32_t formatVersion = 1;
+constexpr std::uint32_t replayVersion = 2;
+constexpr std::uint32_t profileVersion = 1;
 
 struct ProfileEntry
 {
@@ -75,13 +82,15 @@ headerChecksum(const FileHeader &header, const std::string &key)
 }
 
 FileHeader
-makeHeader(const char (&magic)[8], const std::string &key,
-           std::uint64_t records, std::uint64_t extra,
+makeHeader(const char (&magic)[8], std::uint32_t version,
+           const std::string &key, std::uint64_t records,
+           std::uint32_t sites, std::uint64_t extra,
            std::uint64_t payload_bytes)
 {
     FileHeader header = {};
     std::memcpy(header.magic, magic, sizeof(header.magic));
-    header.version = formatVersion;
+    header.version = version;
+    header.sites = sites;
     header.keyBytes = key.size();
     header.records = records;
     header.extra = extra;
@@ -99,13 +108,16 @@ corruptError(const std::string &what, const std::string &path)
 }
 
 /**
- * Validate a mapped artifact file against the expected magic and
- * key. Returns the header on success (pointing into the mapping).
+ * Validate a mapped artifact file against the expected magic,
+ * version and key, and its size against @p bytes_per_record per
+ * record plus @p bytes_per_site per site-table entry. Returns the
+ * header on success (pointing into the mapping).
  */
 Result<const FileHeader *>
 validateArtifact(const MmapFile &file, const char (&magic)[8],
-                 const std::string &key,
-                 std::uint64_t payload_bytes_per_record)
+                 std::uint32_t version, const std::string &key,
+                 std::uint64_t bytes_per_record,
+                 std::uint64_t bytes_per_site)
 {
     if (file.size() < sizeof(FileHeader))
         return corruptError("shorter than its header", file.path());
@@ -113,7 +125,7 @@ validateArtifact(const MmapFile &file, const char (&magic)[8],
         reinterpret_cast<const FileHeader *>(file.data());
     if (std::memcmp(header->magic, magic, sizeof(header->magic)) != 0)
         return corruptError("has the wrong magic", file.path());
-    if (header->version != formatVersion)
+    if (header->version != version)
         return corruptError("has unsupported version " +
                                 std::to_string(header->version),
                             file.path());
@@ -131,9 +143,21 @@ validateArtifact(const MmapFile &file, const char (&magic)[8],
         alignUp64(sizeof(FileHeader) + key.size());
     if (header->payloadOffset != expected_offset)
         return corruptError("payload offset mismatch", file.path());
+    // Bound the counts by the bytes actually present before
+    // multiplying, so no record count can wrap the size check.
+    if (header->payloadOffset > file.size())
+        return corruptError("truncated or oversized payload",
+                            file.path());
+    const std::uint64_t payload = file.size() - header->payloadOffset;
+    const std::uint64_t site_bytes =
+        std::uint64_t{header->sites} * bytes_per_site;
+    if (site_bytes > payload ||
+        header->records > (payload - site_bytes) / bytes_per_record)
+        return corruptError("truncated or oversized payload",
+                            file.path());
     const std::uint64_t expected_bytes =
-        header->payloadOffset +
-        header->records * payload_bytes_per_record;
+        header->payloadOffset + header->records * bytes_per_record +
+        site_bytes;
     if (header->fileBytes != expected_bytes ||
         file.size() != expected_bytes)
         return corruptError("truncated or oversized payload",
@@ -266,30 +290,47 @@ ArtifactCache::loadReplay(const std::string &key)
         return mapped.error();
     }
     auto file = std::make_shared<MmapFile>(std::move(mapped.value()));
-    Result<const FileHeader *> header = validateArtifact(
-        *file, replayMagic, key, ReplayBuffer::bytesPerBranch);
+    Result<const FileHeader *> header =
+        validateArtifact(*file, replayMagic, replayVersion, key,
+                         ReplayBuffer::bytesPerBranch, sizeof(Addr));
     if (!header.ok()) {
         count(&ArtifactCacheStats::corrupt);
         return header.error();
     }
 
     const Count records = header.value()->records;
-    const char *base = static_cast<const char *>(file->data());
-    const auto *pc_column = reinterpret_cast<const Addr *>(
-        base + header.value()->payloadOffset);
+    const std::uint32_t sites = header.value()->sites;
+    const char *payload = static_cast<const char *>(file->data()) +
+                          header.value()->payloadOffset;
+    const auto *site_column =
+        reinterpret_cast<const std::uint32_t *>(payload);
     const auto *packed_column = reinterpret_cast<const std::uint32_t *>(
-        base + header.value()->payloadOffset + records * sizeof(Addr));
+        payload + records * sizeof(std::uint32_t));
+    const auto *site_pcs = reinterpret_cast<const Addr *>(
+        payload + records * ReplayBuffer::bytesPerBranch);
+    // The payload is not checksummed, but a site id past the table
+    // would send every replay out of bounds: check the one column
+    // whose damage is not benign (a branch-free scan).
+    std::uint32_t stray = 0;
+    for (Count i = 0; i < records; ++i)
+        stray |= static_cast<std::uint32_t>(site_column[i] >= sites);
+    if (stray != 0) {
+        count(&ArtifactCacheStats::corrupt);
+        return corruptError("site column points past the site table",
+                            path);
+    }
     // The aliasing shared_ptr keeps the mapping alive for as long as
     // any copy of the buffer exists.
     lookup.buffer = ReplayBuffer::fromColumns(
-        pc_column, packed_column, records, header.value()->extra,
+        site_column, packed_column, records, site_pcs, sites,
+        header.value()->extra,
         std::shared_ptr<const void>(file, file->data()));
     lookup.hit = true;
 
     {
         std::lock_guard<std::mutex> guard(lock);
         ++tally.replayHits;
-        tally.mappedBytes += records * ReplayBuffer::bytesPerBranch;
+        tally.mappedBytes += lookup.buffer.memoryBytes();
     }
     return lookup;
 }
@@ -306,15 +347,17 @@ ArtifactCache::storeReplay(const std::string &key,
     if (Result<void> made = ensureDirectory(); !made.ok())
         return made.error();
 
-    const FileHeader header =
-        makeHeader(replayMagic, key, buffer.size(),
-                   buffer.instructionCount(),
-                   buffer.size() * ReplayBuffer::bytesPerBranch);
+    const FileHeader header = makeHeader(
+        replayMagic, replayVersion, key, buffer.size(),
+        buffer.siteCount(), buffer.instructionCount(),
+        buffer.memoryBytes());
+    const std::size_t column_bytes =
+        buffer.size() * sizeof(std::uint32_t);
     return writeArtifact(
         replayPath(key), header, key,
-        {{buffer.pcData(), buffer.size() * sizeof(Addr)},
-         {buffer.packedData(),
-          buffer.size() * sizeof(std::uint32_t)}});
+        {{buffer.siteData(), column_bytes},
+         {buffer.packedData(), column_bytes},
+         {buffer.sitePcs(), buffer.siteCount() * sizeof(Addr)}});
 }
 
 Result<ArtifactCache::ProfileLookup>
@@ -338,8 +381,9 @@ ArtifactCache::loadProfile(const std::string &key)
         count(&ArtifactCacheStats::corrupt);
         return mapped.error();
     }
-    Result<const FileHeader *> header = validateArtifact(
-        mapped.value(), profileMagic, key, sizeof(ProfileEntry));
+    Result<const FileHeader *> header =
+        validateArtifact(mapped.value(), profileMagic, profileVersion,
+                         key, sizeof(ProfileEntry), 0);
     if (!header.ok()) {
         count(&ArtifactCacheStats::corrupt);
         return header.error();
@@ -396,7 +440,7 @@ ArtifactCache::storeProfile(const std::string &key,
               });
 
     const FileHeader header =
-        makeHeader(profileMagic, key, entries.size(),
+        makeHeader(profileMagic, profileVersion, key, entries.size(), 0,
                    simulated_branches,
                    entries.size() * sizeof(ProfileEntry));
     return writeArtifact(

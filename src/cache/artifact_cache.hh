@@ -4,9 +4,11 @@
  *
  * Two artifact kinds are cached under one directory:
  *
- *  - Replay buffers ("replay-<hash>.bprc"): the flat PC + packed
- *    gap/outcome columns a ReplayBuffer holds. Loaded back via a
- *    read-only mmap and wrapped with ReplayBuffer::fromColumns(), so
+ *  - Replay buffers ("replay-<hash>.bprc"): the site-id and packed
+ *    gap/outcome columns plus the site table a ReplayBuffer holds
+ *    (format v2; v1 files, which stored a PC column, are rejected as
+ *    corrupt and rewritten). Loaded back via a read-only mmap and
+ *    wrapped with ReplayBuffer::fromColumns(), so
  *    N worker processes on one host replay a single physical copy of
  *    the trace data instead of each materializing its own.
  *

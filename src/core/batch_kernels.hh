@@ -20,8 +20,8 @@
  * so lane-parallel counter updates would be a conflict-fallback path
  * that almost always falls back. Vector parallelism instead comes
  * from the hash/decode precompute loops (auto-vectorized; the AVX2
- * translation unit compiles them with -mavx2) and from gang members
- * sharing one stream.
+ * translation unit compiles them for the AVX2 target) and from gang
+ * members sharing one stream.
  *
  * Every kernel is integer-exact and bit-identical across translation
  * units and to the record-at-a-time PR-5 kernels (SimdLevel::Off);
@@ -192,15 +192,6 @@ template <> struct BatchTraits<Tage>
         p.coordsFor(t.primary[site], t.secondary[site], t.tertiary[site],
                     h, out);
     }
-
-    static void
-    coords(const Tage &p, const History &h, std::uint64_t pc_index,
-           Coords &out)
-    {
-        p.coordsFor(pc_index & p.base.indexMask(),
-                    foldBits(pc_index, p.bankIndexBits),
-                    foldBits(pc_index, Tage::tagBits), h, out);
-    }
 };
 
 template <> struct BatchTraits<HashedPerceptron>
@@ -228,27 +219,20 @@ template <> struct BatchTraits<HashedPerceptron>
     {
         p.indicesFor(t.primary[site], h, out);
     }
-
-    static void
-    coords(const HashedPerceptron &p, const History &h,
-           std::uint64_t pc_index, Coords &out)
-    {
-        p.indicesFor(foldBits(pc_index, p.indexBits), h, out);
-    }
 };
 
 namespace batch
 {
 
-/** Build the per-site tables for @p predictor over @p sites. */
+/** Build the per-site tables for @p predictor over @p buffer's sites. */
 template <typename P>
 SiteTables
-buildSiteTables(P &predictor, const SiteIndex &sites)
+buildSiteTables(P &predictor, const ReplayBuffer &buffer)
 {
     SiteTables tables;
-    const std::uint32_t count = sites.siteCount();
+    const std::uint32_t count = buffer.siteCount();
     const auto pcIndexOf = [&](std::uint32_t site) {
-        return sites.sitePc(site) / instructionBytes;
+        return buffer.sitePc(site) / instructionBytes;
     };
 
     if constexpr (std::is_same_v<P, Bimodal>) {
@@ -341,7 +325,6 @@ struct GangArgs
     SimStats *const *stats = nullptr;
     std::size_t n = 0;
     const ReplayBuffer *buffer = nullptr;
-    const std::uint32_t *siteOf = nullptr;
     Count from = 0;
     Count to = 0;
     ShiftPolicy policy = ShiftPolicy::NoShift;
@@ -349,13 +332,13 @@ struct GangArgs
 };
 
 /**
- * One single-sim segment. Without a site index (@p siteOf null) it is
- * the plain dynamic shape (microbench, CLI, per-cell runs). With one,
- * it may add hint codes (a combined predictor's static hints, applied
- * under @p policy) and a dense per-site profile accumulator (flushed
- * to the ProfileDb when the pass finishes); both need @p siteTables.
- * Collision tracking follows @p track, with per-context attribution
- * whenever the predictor's tables carry a ContextAliasSink.
+ * One single-sim segment: the plain dynamic shape, optionally with
+ * hint codes (a combined predictor's static hints, applied under
+ * @p policy) and a dense per-site profile accumulator (flushed to the
+ * ProfileDb when the pass finishes). @p siteTables must have been
+ * built over @p buffer. Collision tracking follows @p track, with
+ * per-context attribution whenever the predictor's tables carry a
+ * ContextAliasSink.
  */
 template <typename P>
 struct SingleArgs
@@ -366,7 +349,6 @@ struct SingleArgs
     BranchProfile *profiles = nullptr;
     SimStats *stats = nullptr;
     const ReplayBuffer *buffer = nullptr;
-    const std::uint32_t *siteOf = nullptr;
     Count from = 0;
     Count to = 0;
     ShiftPolicy policy = ShiftPolicy::NoShift;

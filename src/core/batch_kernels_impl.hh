@@ -330,13 +330,11 @@ class TableState
     {
         if constexpr (Kind != IndexKind::Pc)
             shadow.emplace_back(predictor);
-        idxBits = BatchTraits<P>::table(predictor).indexBits();
     }
 
-    template <ShiftPolicy Policy, bool WithHints, bool WithSites>
+    template <ShiftPolicy Policy, bool WithHints>
     void
-    prepare(unsigned slot, std::size_t count,
-            const std::uint64_t *pc_index, const std::uint8_t *taken,
+    prepare(unsigned slot, std::size_t count, const std::uint8_t *taken,
             const std::uint32_t *site, const std::uint8_t *codes,
             const batch::SiteTables *tables)
     {
@@ -345,18 +343,8 @@ class TableState
         if constexpr (Kind == IndexKind::Pc) {
             (void)taken;
             (void)codes;
-            // The masked PC index is cheap enough that apply()
-            // recomputes it inline from the decoded column; prepare
-            // only materializes indices when a big table wants its
-            // lines prefetched.
-            if (table.prefetch) {
-                for (std::size_t i = 0; i < count; ++i) {
-                    if constexpr (WithSites)
-                        out[i] = tables->primary[site[i]] & msk;
-                    else
-                        out[i] = pc_index[i] & msk;
-                }
-            }
+            for (std::size_t i = 0; i < count; ++i)
+                out[i] = tables->primary[site[i]] & msk;
         } else if constexpr (Kind == IndexKind::PcXorHist) {
             std::uint64_t hist[batchRecords];
             std::uint64_t fold[batchRecords];
@@ -368,10 +356,7 @@ class TableState
             HistoryShadow sh = shadow.front();
             for (std::size_t i = 0; i < count; ++i) {
                 hist[i] = sh.hist;
-                if constexpr (WithSites)
-                    fold[i] = tables->primary[site[i]];
-                else
-                    fold[i] = foldBits(pc_index[i], idxBits);
+                fold[i] = tables->primary[site[i]];
                 sh.template advance<Policy, WithHints>(
                     taken[i], WithHints ? codes[site[i]] : 0);
             }
@@ -398,12 +383,9 @@ class TableState
     }
 
     ApplyResult
-    apply(unsigned slot, std::size_t i, Addr pc,
-          std::uint64_t pc_index, bool taken)
+    apply(unsigned slot, std::size_t i, Addr pc, bool taken)
     {
-        const std::size_t k = Kind == IndexKind::Pc
-                                  ? (pc_index & table.mask)
-                                  : idx[slot][i];
+        const std::size_t k = idx[slot][i];
         const std::uint8_t counter = table.cnt[k];
         const bool prediction = satCounterTaken(counter, table.msb);
         const bool correct = prediction == taken;
@@ -429,7 +411,6 @@ class TableState
     // Kept in a 0/1-sized vector so the Pc kind (bimodal, no history
     // member to read) never touches BatchTraits<P>::history.
     std::vector<HistoryShadow> shadow;
-    BitCount idxBits = 0;
     std::size_t idx[pipelineSlots][batchRecords];
 };
 
@@ -442,16 +423,13 @@ class BiModeState
         : choice(BatchTraits<BiMode>::choice(predictor)),
           takenTable(BatchTraits<BiMode>::takenTable(predictor)),
           notTakenTable(BatchTraits<BiMode>::notTakenTable(predictor)),
-          shadow(predictor),
-          dirBits(
-              BatchTraits<BiMode>::takenTable(predictor).indexBits())
+          shadow(predictor)
     {
     }
 
-    template <ShiftPolicy Policy, bool WithHints, bool WithSites>
+    template <ShiftPolicy Policy, bool WithHints>
     void
-    prepare(unsigned slot, std::size_t count,
-            const std::uint64_t *pc_index, const std::uint8_t *taken,
+    prepare(unsigned slot, std::size_t count, const std::uint8_t *taken,
             const std::uint32_t *site, const std::uint8_t *codes,
             const batch::SiteTables *tables)
     {
@@ -460,14 +438,8 @@ class BiModeState
         HistoryShadow sh = shadow;
         for (std::size_t i = 0; i < count; ++i) {
             hist[i] = sh.hist;
-            if constexpr (WithSites) {
-                choiceIdx[slot][i] =
-                    tables->primary[site[i]] & choice.mask;
-                fold[i] = tables->secondary[site[i]];
-            } else {
-                choiceIdx[slot][i] = pc_index[i] & choice.mask;
-                fold[i] = foldBits(pc_index[i], dirBits);
-            }
+            choiceIdx[slot][i] = tables->primary[site[i]] & choice.mask;
+            fold[i] = tables->secondary[site[i]];
             sh.template advance<Policy, WithHints>(
                 taken[i], WithHints ? codes[site[i]] : 0);
         }
@@ -487,8 +459,7 @@ class BiModeState
     }
 
     ApplyResult
-    apply(unsigned slot, std::size_t i, Addr pc,
-          std::uint64_t /*pc_index*/, bool taken)
+    apply(unsigned slot, std::size_t i, Addr pc, bool taken)
     {
         const std::size_t kc = choiceIdx[slot][i];
         const std::size_t kd = dirIdx[slot][i];
@@ -540,7 +511,6 @@ class BiModeState
     LaneStats takenStats;
     LaneStats notTakenStats;
     HistoryShadow shadow;
-    BitCount dirBits;
     std::size_t choiceIdx[pipelineSlots][batchRecords];
     std::size_t dirIdx[pipelineSlots][batchRecords];
 };
@@ -566,10 +536,9 @@ class GskewState
     {
     }
 
-    template <ShiftPolicy Policy, bool WithHints, bool WithSites>
+    template <ShiftPolicy Policy, bool WithHints>
     void
-    prepare(unsigned slot, std::size_t count,
-            const std::uint64_t *pc_index, const std::uint8_t *taken,
+    prepare(unsigned slot, std::size_t count, const std::uint8_t *taken,
             const std::uint32_t *site, const std::uint8_t *codes,
             const batch::SiteTables *tables)
     {
@@ -585,19 +554,10 @@ class GskewState
         HistoryShadow sh = shadow;
         for (std::size_t i = 0; i < count; ++i) {
             const std::uint64_t hist = sh.hist;
-            if constexpr (WithSites) {
-                bimIdx[slot][i] = tables->primary[site[i]] & bim.mask;
-                a0[i] = tables->secondary[site[i]];
-                a1x[i] = tables->tertiary[site[i]];
-                mf[i] = tables->quaternary[site[i]];
-            } else {
-                bimIdx[slot][i] = pc_index[i] & bim.mask;
-                const std::uint64_t v1 =
-                    foldBits(pc_index[i], bankBits);
-                a0[i] = skewH(v1, bankBits);
-                a1x[i] = skewH(a0[i], bankBits) ^ v1;
-                mf[i] = foldBits(pc_index[i], metaBits);
-            }
+            bimIdx[slot][i] = tables->primary[site[i]] & bim.mask;
+            a0[i] = tables->secondary[site[i]];
+            a1x[i] = tables->tertiary[site[i]];
+            mf[i] = tables->quaternary[site[i]];
             v2a[i] = foldBits(hist & maskG0, bankBits);
             v2b[i] = foldBits(hist & maskG1, bankBits);
             mf[i] ^= foldBits(hist & maskMeta, metaBits);
@@ -653,8 +613,7 @@ class GskewState
     }
 
     ApplyResult
-    apply(unsigned slot, std::size_t i, Addr pc,
-          std::uint64_t /*pc_index*/, bool taken)
+    apply(unsigned slot, std::size_t i, Addr pc, bool taken)
     {
         const std::size_t kb = bimIdx[slot][i];
         const std::size_t k0 = g0Idx[slot][i];
@@ -767,23 +726,17 @@ advanceHistory(History &history, std::uint8_t taken, std::uint8_t code)
  * hint codes, computing each record's table coordinates from it (and
  * the per-site PC folds) with the predictor's own index functions.
  */
-template <typename P, ShiftPolicy Policy, bool WithHints, bool WithSites>
+template <typename P, ShiftPolicy Policy, bool WithHints>
 void
 prepareCoords(const P &predictor, typename BatchTraits<P>::History &shadow,
               typename BatchTraits<P>::Coords *out, std::size_t count,
-              const std::uint64_t *pc_index, const std::uint8_t *taken,
-              const std::uint32_t *site, const std::uint8_t *codes,
-              const batch::SiteTables *tables)
+              const std::uint8_t *taken, const std::uint32_t *site,
+              const std::uint8_t *codes, const batch::SiteTables *tables)
 {
     typename BatchTraits<P>::History history = shadow;
     for (std::size_t i = 0; i < count; ++i) {
-        if constexpr (WithSites) {
-            BatchTraits<P>::coords(predictor, history, *tables, site[i],
-                                   out[i]);
-        } else {
-            BatchTraits<P>::coords(predictor, history, pc_index[i],
-                                   out[i]);
-        }
+        BatchTraits<P>::coords(predictor, history, *tables, site[i],
+                               out[i]);
         advanceHistory<Policy, WithHints>(
             history, taken[i], WithHints ? codes[site[i]] : 0);
     }
@@ -816,21 +769,19 @@ class TageState
         }
     }
 
-    template <ShiftPolicy Policy, bool WithHints, bool WithSites>
+    template <ShiftPolicy Policy, bool WithHints>
     void
-    prepare(unsigned slot, std::size_t count,
-            const std::uint64_t *pc_index, const std::uint8_t *taken,
+    prepare(unsigned slot, std::size_t count, const std::uint8_t *taken,
             const std::uint32_t *site, const std::uint8_t *codes,
             const batch::SiteTables *tables)
     {
-        prepareCoords<Tage, Policy, WithHints, WithSites>(
-            *predictor, shadow, coords[slot], count, pc_index, taken,
-            site, codes, tables);
+        prepareCoords<Tage, Policy, WithHints>(*predictor, shadow,
+                                               coords[slot], count, taken,
+                                               site, codes, tables);
     }
 
     ApplyResult
-    apply(unsigned slot, std::size_t i, Addr pc,
-          std::uint64_t /*pc_index*/, bool taken)
+    apply(unsigned slot, std::size_t i, Addr pc, bool taken)
     {
         const Tage::Coords &at = coords[slot][i];
         const std::uint8_t cb = base.cnt[at.baseIdx];
@@ -937,21 +888,19 @@ class PerceptronState
             table[t] = LaneTable(Traits::table(predictor, t));
     }
 
-    template <ShiftPolicy Policy, bool WithHints, bool WithSites>
+    template <ShiftPolicy Policy, bool WithHints>
     void
-    prepare(unsigned slot, std::size_t count,
-            const std::uint64_t *pc_index, const std::uint8_t *taken,
+    prepare(unsigned slot, std::size_t count, const std::uint8_t *taken,
             const std::uint32_t *site, const std::uint8_t *codes,
             const batch::SiteTables *site_tables)
     {
-        prepareCoords<HashedPerceptron, Policy, WithHints, WithSites>(
-            *predictor, shadow, coords[slot], count, pc_index, taken,
-            site, codes, site_tables);
+        prepareCoords<HashedPerceptron, Policy, WithHints>(
+            *predictor, shadow, coords[slot], count, taken, site, codes,
+            site_tables);
     }
 
     ApplyResult
-    apply(unsigned slot, std::size_t i, Addr pc,
-          std::uint64_t /*pc_index*/, bool taken)
+    apply(unsigned slot, std::size_t i, Addr pc, bool taken)
     {
         const HashedPerceptron::Indices &at = coords[slot][i];
         std::uint8_t w[tables];
@@ -1057,19 +1006,19 @@ template <Tracking T> struct StateFor<HashedPerceptron, T>
  * buffer order, so the table and history evolution is identical.
  */
 template <typename P, ShiftPolicy Policy, Tracking T, bool WithHints,
-          bool WithSites, bool WithDense, std::size_t N>
+          bool WithDense, std::size_t N>
 void
 runBatchLoop(P *const *predictors,
              const batch::SiteTables *const *site_tables,
              const std::uint8_t *const *hint_codes,
              SimStats *const *stats, const ReplayBuffer &buffer,
-             const std::uint32_t *site_of, BranchProfile *profiles,
-             Count start, Count end)
+             BranchProfile *profiles, Count start, Count end)
 {
     using State = typename StateFor<P, T>::type;
     constexpr std::size_t B = batchRecords;
 
-    const Addr *pcs = buffer.pcData();
+    const std::uint32_t *site_of = buffer.siteData();
+    const Addr *site_pcs = buffer.sitePcs();
     const std::uint32_t *packed = buffer.packedData();
 
     std::vector<State> states;
@@ -1084,8 +1033,7 @@ runBatchLoop(P *const *predictors,
     Count branches = 0;
     Count instructions = 0;
 
-    Addr pc[pipelineSlots][B];
-    std::uint64_t pcIndex[pipelineSlots][B];
+    Addr pc[pipelineSlots][B] = {};
     std::uint8_t taken[pipelineSlots][B];
     std::uint32_t site[pipelineSlots][B];
     std::size_t counts[pipelineSlots] = {};
@@ -1100,24 +1048,23 @@ runBatchLoop(P *const *predictors,
             static_cast<std::size_t>(std::min<Count>(B, end - base));
         counts[slot] = count;
         for (std::size_t i = 0; i < count; ++i) {
-            pc[slot][i] = pcs[base + i];
-            pcIndex[slot][i] = pc[slot][i] / instructionBytes;
+            site[slot][i] = site_of[base + i];
             const std::uint32_t word = packed[base + i];
             taken[slot][i] =
                 (word & ReplayBuffer::packedTakenBit) != 0 ? 1 : 0;
             instructions += word & ~ReplayBuffer::packedTakenBit;
         }
         branches += count;
-        if constexpr (WithSites) {
+        // Only the collision tags need the PC itself; every index
+        // comes from the per-site tables.
+        if constexpr (T != Tracking::Off) {
             for (std::size_t i = 0; i < count; ++i)
-                site[slot][i] = site_of[base + i];
+                pc[slot][i] = site_pcs[site[slot][i]];
         }
         for (std::size_t m = 0; m < N; ++m) {
-            st[m].template prepare<Policy, WithHints, WithSites>(
-                slot, count, pcIndex[slot], taken[slot],
-                WithSites ? site[slot] : nullptr,
-                WithHints ? hint_codes[m] : nullptr,
-                WithSites ? site_tables[m] : nullptr);
+            st[m].template prepare<Policy, WithHints>(
+                slot, count, taken[slot], site[slot],
+                WithHints ? hint_codes[m] : nullptr, site_tables[m]);
         }
     };
 
@@ -1130,7 +1077,6 @@ runBatchLoop(P *const *predictors,
         const std::size_t count = counts[cur];
         for (std::size_t i = 0; i < count; ++i) {
             const Addr recPc = pc[cur][i];
-            const std::uint64_t recPcIndex = pcIndex[cur][i];
             const bool recTaken = taken[cur][i] != 0;
             for (std::size_t m = 0; m < N; ++m) {
                 if constexpr (WithHints) {
@@ -1156,7 +1102,7 @@ runBatchLoop(P *const *predictors,
                     }
                 }
                 const ApplyResult result =
-                    st[m].apply(cur, i, recPc, recPcIndex, recTaken);
+                    st[m].apply(cur, i, recPc, recTaken);
                 mispredictions[m] += !result.correct;
                 if constexpr (WithDense) {
                     BranchProfile &profile = profiles[site[cur][i]];
@@ -1255,17 +1201,15 @@ dispatchGangChunk(const batch::GangArgs<P> &args, std::size_t offset)
     withPolicy(args.policy, [&](auto policy_tag) {
         constexpr ShiftPolicy kPolicy = decltype(policy_tag)::value;
         if (args.track) {
-            runBatchLoop<P, kPolicy, Tracking::Stats, true, true, false,
-                         N>(args.predictors + offset,
-                            args.siteTables + offset,
-                            args.hintCodes + offset, args.stats + offset,
-                            *args.buffer, args.siteOf, nullptr,
-                            args.from, args.to);
-        } else {
-            runBatchLoop<P, kPolicy, Tracking::Off, true, true, false, N>(
+            runBatchLoop<P, kPolicy, Tracking::Stats, true, false, N>(
                 args.predictors + offset, args.siteTables + offset,
                 args.hintCodes + offset, args.stats + offset,
-                *args.buffer, args.siteOf, nullptr, args.from, args.to);
+                *args.buffer, nullptr, args.from, args.to);
+        } else {
+            runBatchLoop<P, kPolicy, Tracking::Off, true, false, N>(
+                args.predictors + offset, args.siteTables + offset,
+                args.hintCodes + offset, args.stats + offset,
+                *args.buffer, nullptr, args.from, args.to);
         }
     });
 }
@@ -1321,31 +1265,22 @@ runSingleBatch(const batch::SingleArgs<P> &args)
     const std::uint8_t *codes = args.hintCodes;
     SimStats *stats = args.stats;
     const auto loop = [&](auto policy_tag, auto tracking_tag,
-                          auto hints_tag, auto sites_tag,
-                          auto dense_tag) {
+                          auto hints_tag, auto dense_tag) {
         runBatchLoop<P, decltype(policy_tag)::value,
                      decltype(tracking_tag)::value,
                      decltype(hints_tag)::value,
-                     decltype(sites_tag)::value,
                      decltype(dense_tag)::value, 1>(
             &predictor, &tables, &codes, &stats, *args.buffer,
-            args.siteOf, args.profiles, args.from, args.to);
+            args.profiles, args.from, args.to);
     };
     using NoShift =
         std::integral_constant<ShiftPolicy, ShiftPolicy::NoShift>;
     withTracking(trackingFor(*predictor, args.track), [&](auto tracking) {
-        if (args.siteOf == nullptr) {
-            loop(NoShift{}, tracking, std::false_type{},
-                 std::false_type{}, std::false_type{});
-            return;
-        }
         const auto withDense = [&](auto hints, auto policy) {
             if (args.profiles != nullptr)
-                loop(policy, tracking, hints, std::true_type{},
-                     std::true_type{});
+                loop(policy, tracking, hints, std::true_type{});
             else
-                loop(policy, tracking, hints, std::true_type{},
-                     std::false_type{});
+                loop(policy, tracking, hints, std::false_type{});
         };
         if (codes == nullptr) {
             withDense(std::false_type{}, NoShift{});

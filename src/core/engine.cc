@@ -107,13 +107,14 @@ void
 runReplayDynamic(P &predictor, const ReplayBuffer &buffer, Count start,
                  Count end, SimStats &stats, ProfileDb *profile)
 {
-    const Addr *pcs = buffer.pcData();
+    const std::uint32_t *site_of = buffer.siteData();
+    const Addr *site_pcs = buffer.sitePcs();
     const std::uint32_t *packed = buffer.packedData();
 
     for (Count base = start; base < end; base += kernelBlock) {
         const Count stop = std::min(base + kernelBlock, end);
         for (Count i = base; i < stop; ++i) {
-            const Addr pc = pcs[i];
+            const Addr pc = site_pcs[site_of[i]];
             const std::uint32_t word = packed[i];
             const bool taken =
                 (word & ReplayBuffer::packedTakenBit) != 0;
@@ -145,192 +146,46 @@ runReplayDynamic(P &predictor, const ReplayBuffer &buffer, Count start,
     }
 }
 
-/**
- * Devirtualized replay kernel for a CombinedPredictor whose dynamic
- * component has concrete type @p P. Replicates the combined
- * predict/update/updateHistory semantics inline: hinted branches are
- * resolved statically, never touch the dynamic tables, and feed the
- * history register per the shift policy.
- */
-template <bool WithProfile, bool Track, typename P>
-void
-runReplayCombined(P &predictor, const HintDb &hints,
-                  ShiftPolicy policy, const ReplayBuffer &buffer,
-                  Count start, Count end, SimStats &stats,
-                  ProfileDb *profile)
-{
-    const Addr *pcs = buffer.pcData();
-    const std::uint32_t *packed = buffer.packedData();
-
-    for (Count base = start; base < end; base += kernelBlock) {
-        const Count stop = std::min(base + kernelBlock, end);
-        for (Count i = base; i < stop; ++i) {
-            const Addr pc = pcs[i];
-            const std::uint32_t word = packed[i];
-            const bool taken =
-                (word & ReplayBuffer::packedTakenBit) != 0;
-
-            bool hint_direction = false;
-            const bool was_static = hints.lookup(pc, hint_direction);
-            bool correct;
-            Count lookup_collisions = 0;
-            if (was_static) {
-                correct = hint_direction == taken;
-                switch (policy) {
-                  case ShiftPolicy::NoShift:
-                    break;
-                  case ShiftPolicy::ShiftOutcome:
-                    predictor.historyStep(taken);
-                    break;
-                  case ShiftPolicy::ShiftPrediction:
-                    predictor.historyStep(hint_direction);
-                    break;
-                }
-                ++stats.staticPredicted;
-                if (!correct)
-                    ++stats.staticMispredictions;
-            } else {
-                const bool prediction =
-                    predictor.template predictStep<Track>(pc);
-                correct = prediction == taken;
-                if constexpr (WithProfile)
-                    lookup_collisions = predictor.pendingStep();
-                predictor.template updateStep<Track>(pc, taken);
-                predictor.historyStep(taken);
-            }
-
-            ++stats.branches;
-            stats.instructions += word & ~ReplayBuffer::packedTakenBit;
-            if (!correct)
-                ++stats.mispredictions;
-
-            if constexpr (WithProfile) {
-                profile->recordOutcome(pc, taken);
-                // Accuracy counts describe the *dynamic* predictor,
-                // so statically resolved branches do not contribute.
-                if (!was_static) {
-                    profile->recordPrediction(pc, correct);
-                    if (lookup_collisions > 0)
-                        profile->recordCollisions(pc,
-                                                  lookup_collisions);
-                }
-            }
-        }
-    }
-}
-
-/**
- * Run the full warmup + measurement schedule over the buffer through
- * the devirtualized kernels, mirroring simulate()'s structure.
- */
-template <typename P>
-SimStats
-runReplay(P &concrete, BranchPredictor &outer, const HintDb *hints,
-          ShiftPolicy policy, const ReplayBuffer &buffer,
-          const SimOptions &options, bool *used_simd = nullptr)
-{
-    const Count total = buffer.size();
-    const Count warmup_end = std::min(options.warmupBranches, total);
-    const Count limit = options.maxBranches == 0 ? ~Count{0}
-                                                 : options.maxBranches;
-    const Count end =
-        warmup_end + std::min(limit, total - warmup_end);
-
-    const bool with_profile = options.profile != nullptr;
-    const bool track = options.trackCollisions;
-
-    // The batched kernels cover the plain dynamic shape here; hinted
-    // (hash-lookup) and profiling runs keep the record-at-a-time
-    // kernels. Bit-identical either way.
-    const BatchKernelSet<P> kernels =
-        batchKernelsFor<P>(resolveSimdLevel(options.simd));
-    if (used_simd != nullptr) {
-        *used_simd =
-            kernels.single != nullptr && hints == nullptr &&
-            !with_profile;
-    }
-
-    const auto run = [&](auto with_profile_tag, auto track_tag,
-                         Count from, Count to, SimStats &stats,
-                         ProfileDb *profile) {
-        constexpr bool kWithProfile = decltype(with_profile_tag)::value;
-        constexpr bool kTrack = decltype(track_tag)::value;
-        if (hints != nullptr) {
-            runReplayCombined<kWithProfile, kTrack>(
-                concrete, *hints, policy, buffer, from, to, stats,
-                profile);
-        } else if (!kWithProfile && kernels.single != nullptr) {
-            batch::SingleArgs<P> args;
-            args.predictor = &concrete;
-            args.stats = &stats;
-            args.buffer = &buffer;
-            args.from = from;
-            args.to = to;
-            args.track = kTrack;
-            kernels.single(args);
-        } else {
-            runReplayDynamic<kWithProfile, kTrack>(
-                concrete, buffer, from, to, stats, profile);
-        }
-    };
-
-    // Warmup: train the predictor without recording anything.
-    if (warmup_end > 0) {
-        SimStats discarded;
-        if (track) {
-            run(std::false_type{}, std::true_type{}, 0, warmup_end,
-                discarded, nullptr);
-        } else {
-            run(std::false_type{}, std::false_type{}, 0, warmup_end,
-                discarded, nullptr);
-        }
-        outer.clearCollisionStats();
-    }
-
-    SimStats stats;
-    if (with_profile && track) {
-        run(std::true_type{}, std::true_type{}, warmup_end, end, stats,
-            options.profile);
-    } else if (with_profile) {
-        run(std::true_type{}, std::false_type{}, warmup_end, end,
-            stats, options.profile);
-    } else if (track) {
-        run(std::false_type{}, std::true_type{}, warmup_end, end,
-            stats, nullptr);
-    } else {
-        run(std::false_type{}, std::false_type{}, warmup_end, end,
-            stats, nullptr);
-    }
-
-    stats.collisions = outer.collisionStats();
-    return stats;
-}
-
 // Dense hint-code bits (0 = no hint for the site); shared with the
 // batch kernels, which consume the same per-site code arrays.
 using batch::hintPresentBit;
 using batch::hintTakenBit;
 
+/** @p hints as one dense code byte per site of @p buffer. */
+std::vector<std::uint8_t>
+hintCodesFor(const HintDb &hints, const ReplayBuffer &buffer)
+{
+    std::vector<std::uint8_t> codes(buffer.siteCount(), 0);
+    for (std::uint32_t s = 0; s < buffer.siteCount(); ++s) {
+        bool taken = false;
+        if (hints.lookup(buffer.sitePc(s), taken))
+            codes[s] = hintPresentBit | (taken ? hintTakenBit : 0);
+    }
+    return codes;
+}
+
 /**
- * Dense-hint variant of runReplayCombined for the fused executor: the
- * per-record HintDb hash lookup becomes a site-indexed byte load and
- * the shift policy is a compile-time constant. Semantically identical
- * to runReplayCombined over the same records.
+ * Devirtualized replay kernel for a CombinedPredictor whose dynamic
+ * component has concrete type @p P. Replicates the combined
+ * predict/update/updateHistory semantics inline: hinted branches
+ * (one code byte per site, from hintCodesFor) are resolved
+ * statically, never touch the dynamic tables, and feed the history
+ * register per the compile-time shift policy.
  */
 template <bool WithProfile, bool Track, ShiftPolicy Policy, typename P>
 void
 runReplayCombinedSites(P &predictor, const std::uint8_t *hint_code,
-                       const std::uint32_t *site_of,
                        const ReplayBuffer &buffer, Count start,
                        Count end, SimStats &stats, ProfileDb *profile)
 {
-    const Addr *pcs = buffer.pcData();
+    const std::uint32_t *site_of = buffer.siteData();
+    const Addr *site_pcs = buffer.sitePcs();
     const std::uint32_t *packed = buffer.packedData();
 
     for (Count base = start; base < end; base += kernelBlock) {
         const Count stop = std::min(base + kernelBlock, end);
         for (Count i = base; i < stop; ++i) {
-            const Addr pc = pcs[i];
+            const Addr pc = site_pcs[site_of[i]];
             const std::uint32_t word = packed[i];
             const bool taken =
                 (word & ReplayBuffer::packedTakenBit) != 0;
@@ -381,6 +236,128 @@ runReplayCombinedSites(P &predictor, const std::uint8_t *hint_code,
     }
 }
 
+/** runReplayCombinedSites with the shift policy chosen at run time. */
+template <bool WithProfile, bool Track, typename P>
+void
+runReplayCombined(P &predictor, const std::uint8_t *hint_code,
+                  ShiftPolicy policy, const ReplayBuffer &buffer,
+                  Count start, Count end, SimStats &stats,
+                  ProfileDb *profile)
+{
+    switch (policy) {
+      case ShiftPolicy::NoShift:
+        runReplayCombinedSites<WithProfile, Track, ShiftPolicy::NoShift>(
+            predictor, hint_code, buffer, start, end, stats, profile);
+        break;
+      case ShiftPolicy::ShiftOutcome:
+        runReplayCombinedSites<WithProfile, Track,
+                               ShiftPolicy::ShiftOutcome>(
+            predictor, hint_code, buffer, start, end, stats, profile);
+        break;
+      case ShiftPolicy::ShiftPrediction:
+        runReplayCombinedSites<WithProfile, Track,
+                               ShiftPolicy::ShiftPrediction>(
+            predictor, hint_code, buffer, start, end, stats, profile);
+        break;
+    }
+}
+
+/**
+ * Run the full warmup + measurement schedule over the buffer through
+ * the devirtualized kernels, mirroring simulate()'s structure.
+ */
+template <typename P>
+SimStats
+runReplay(P &concrete, BranchPredictor &outer, const HintDb *hints,
+          ShiftPolicy policy, const ReplayBuffer &buffer,
+          const SimOptions &options, bool *used_simd = nullptr)
+{
+    const Count total = buffer.size();
+    const Count warmup_end = std::min(options.warmupBranches, total);
+    const Count limit = options.maxBranches == 0 ? ~Count{0}
+                                                 : options.maxBranches;
+    const Count end =
+        warmup_end + std::min(limit, total - warmup_end);
+
+    const bool with_profile = options.profile != nullptr;
+    const bool track = options.trackCollisions;
+
+    // The batched kernels cover the plain dynamic shape here; hinted
+    // and profiling runs keep the record-at-a-time kernels (hints as
+    // per-site codes, profiles straight into the ProfileDb).
+    // Bit-identical either way.
+    const BatchKernelSet<P> kernels =
+        batchKernelsFor<P>(resolveSimdLevel(options.simd));
+    if (used_simd != nullptr) {
+        *used_simd =
+            kernels.single != nullptr && hints == nullptr &&
+            !with_profile;
+    }
+    const batch::SiteTables site_tables =
+        kernels.single != nullptr && hints == nullptr
+            ? batch::buildSiteTables(concrete, buffer)
+            : batch::SiteTables{};
+    const std::vector<std::uint8_t> hint_codes =
+        hints != nullptr ? hintCodesFor(*hints, buffer)
+                         : std::vector<std::uint8_t>{};
+
+    const auto run = [&](auto with_profile_tag, auto track_tag,
+                         Count from, Count to, SimStats &stats,
+                         ProfileDb *profile) {
+        constexpr bool kWithProfile = decltype(with_profile_tag)::value;
+        constexpr bool kTrack = decltype(track_tag)::value;
+        if (hints != nullptr) {
+            runReplayCombined<kWithProfile, kTrack>(
+                concrete, hint_codes.data(), policy, buffer, from, to,
+                stats, profile);
+        } else if (!kWithProfile && kernels.single != nullptr) {
+            batch::SingleArgs<P> args;
+            args.predictor = &concrete;
+            args.stats = &stats;
+            args.buffer = &buffer;
+            args.siteTables = &site_tables;
+            args.from = from;
+            args.to = to;
+            args.track = kTrack;
+            kernels.single(args);
+        } else {
+            runReplayDynamic<kWithProfile, kTrack>(
+                concrete, buffer, from, to, stats, profile);
+        }
+    };
+
+    // Warmup: train the predictor without recording anything.
+    if (warmup_end > 0) {
+        SimStats discarded;
+        if (track) {
+            run(std::false_type{}, std::true_type{}, 0, warmup_end,
+                discarded, nullptr);
+        } else {
+            run(std::false_type{}, std::false_type{}, 0, warmup_end,
+                discarded, nullptr);
+        }
+        outer.clearCollisionStats();
+    }
+
+    SimStats stats;
+    if (with_profile && track) {
+        run(std::true_type{}, std::true_type{}, warmup_end, end, stats,
+            options.profile);
+    } else if (with_profile) {
+        run(std::true_type{}, std::false_type{}, warmup_end, end,
+            stats, options.profile);
+    } else if (track) {
+        run(std::false_type{}, std::true_type{}, warmup_end, end,
+            stats, nullptr);
+    } else {
+        run(std::false_type{}, std::false_type{}, warmup_end, end,
+            stats, nullptr);
+    }
+
+    stats.collisions = outer.collisionStats();
+    return stats;
+}
+
 /** Per-site profile accumulator standing in for a ProfileDb. */
 struct DenseProfile
 {
@@ -397,17 +374,18 @@ struct DenseProfile
  */
 template <bool Track, typename P>
 void
-runReplayDynamicDense(P &predictor, const std::uint32_t *site_of,
-                      const ReplayBuffer &buffer, Count start,
-                      Count end, SimStats &stats, DenseProfile &dense)
+runReplayDynamicDense(P &predictor, const ReplayBuffer &buffer,
+                      Count start, Count end, SimStats &stats,
+                      DenseProfile &dense)
 {
-    const Addr *pcs = buffer.pcData();
+    const std::uint32_t *site_of = buffer.siteData();
+    const Addr *site_pcs = buffer.sitePcs();
     const std::uint32_t *packed = buffer.packedData();
 
     for (Count base = start; base < end; base += kernelBlock) {
         const Count stop = std::min(base + kernelBlock, end);
         for (Count i = base; i < stop; ++i) {
-            const Addr pc = pcs[i];
+            const Addr pc = site_pcs[site_of[i]];
             const std::uint32_t word = packed[i];
             const bool taken =
                 (word & ReplayBuffer::packedTakenBit) != 0;
@@ -508,57 +486,42 @@ class FusedStepper : public FusedExec
 
 /**
  * Fused stepper running the devirtualized kernels for concrete
- * predictor type @p P. With a SiteIndex available it additionally
- * flattens hint lookups (combined sims) and profile accumulation
- * (profiling sims, and scenario evaluations, which profile for their
- * per-context split) onto dense site arrays; both are pure
- * accelerations with bit-identical results. The batched kernels take
- * every shape the site index covers, plus plain dynamic sims without
- * one.
+ * predictor type @p P. Hint lookups (combined sims) and profile
+ * accumulation (profiling sims, and scenario evaluations, which
+ * profile for their per-context split) run on dense arrays indexed
+ * by the buffer's site ids; both are pure accelerations with
+ * bit-identical results.
  */
 template <typename P>
 class KernelStepper final : public FusedStepper
 {
   public:
     KernelStepper(FusedSim &sim, const ReplayBuffer &buffer,
-                  P &concrete, const HintDb *hints, ShiftPolicy policy,
-                  const SiteIndex *sites)
+                  P &concrete, const HintDb *hints, ShiftPolicy policy)
         : FusedStepper(sim, buffer), concrete(concrete), hints(hints),
-          policy(policy), sites(sites),
+          policy(policy),
           kernels(batchKernelsFor<P>(
               resolveSimdLevel(sim.options.simd)))
     {
         const bool with_profile = sim.options.profile != nullptr;
-        batched = kernels.single != nullptr &&
-                  (sites != nullptr ||
-                   (hints == nullptr && !with_profile));
-        if (sites != nullptr) {
-            siteOf = sites->siteData();
-            if (hints != nullptr) {
-                hintCode.assign(sites->siteCount(), 0);
-                for (std::uint32_t s = 0; s < sites->siteCount(); ++s) {
-                    bool taken = false;
-                    if (hints->lookup(sites->sitePc(s), taken))
-                        hintCode[s] = hintPresentBit |
-                                      (taken ? hintTakenBit : 0);
-                }
-            }
-            // The record-at-a-time hinted kernel keeps its ProfileDb.
-            useDense = with_profile && (batched || hints == nullptr);
-            if (useDense)
-                dense.counts.assign(sites->siteCount(), BranchProfile{});
-            if (batched)
-                siteTables = batch::buildSiteTables(concrete, *sites);
-        }
+        batched = kernels.single != nullptr;
+        if (hints != nullptr)
+            hintCode = hintCodesFor(*hints, buffer);
+        // The record-at-a-time hinted kernel keeps its ProfileDb.
+        useDense = with_profile && (batched || hints == nullptr);
+        if (useDense)
+            dense.counts.assign(buffer.siteCount(), BranchProfile{});
+        if (batched)
+            siteTables = batch::buildSiteTables(concrete, buffer);
     }
 
     void
     finish() override
     {
         if (useDense) {
-            for (std::uint32_t s = 0; s < sites->siteCount(); ++s)
+            for (std::uint32_t s = 0; s < buffer.siteCount(); ++s)
                 if (dense.counts[s].executed > 0)
-                    sim.options.profile->addCounts(sites->sitePc(s),
+                    sim.options.profile->addCounts(buffer.sitePc(s),
                                                    dense.counts[s]);
         }
         sim.stats.collisions = sim.predictor->collisionStats();
@@ -594,15 +557,10 @@ class KernelStepper final : public FusedStepper
             args.from = from;
             args.to = to;
             args.track = track;
-            if (sites != nullptr) {
-                args.siteTables = &siteTables;
-                args.siteOf = siteOf;
-                args.hintCodes = hintCode.empty() ? nullptr
-                                                  : hintCode.data();
-                args.profiles =
-                    with_profile ? dense.counts.data() : nullptr;
-                args.policy = policy;
-            }
+            args.siteTables = &siteTables;
+            args.hintCodes = hints != nullptr ? hintCode.data() : nullptr;
+            args.profiles = with_profile ? dense.counts.data() : nullptr;
+            args.policy = policy;
             kernels.single(args);
             return;
         }
@@ -612,23 +570,12 @@ class KernelStepper final : public FusedStepper
                 decltype(profile_tag)::value;
             constexpr bool kTrack = decltype(track_tag)::value;
             if (hints != nullptr) {
-                if (!hintCode.empty()) {
-                    runSites<kWithProfile, kTrack>(from, to, stats,
-                                                   profile);
-                } else {
-                    runReplayCombined<kWithProfile, kTrack>(
-                        concrete, *hints, policy, buffer, from, to,
-                        stats, profile);
-                }
+                runReplayCombined<kWithProfile, kTrack>(
+                    concrete, hintCode.data(), policy, buffer, from, to,
+                    stats, profile);
             } else if constexpr (kWithProfile) {
-                if (useDense) {
-                    runReplayDynamicDense<kTrack>(
-                        concrete, siteOf, buffer, from, to, stats,
-                        dense);
-                } else {
-                    runReplayDynamic<true, kTrack>(
-                        concrete, buffer, from, to, stats, profile);
-                }
+                runReplayDynamicDense<kTrack>(concrete, buffer, from, to,
+                                              stats, dense);
             } else {
                 runReplayDynamic<false, kTrack>(
                     concrete, buffer, from, to, stats, profile);
@@ -646,38 +593,9 @@ class KernelStepper final : public FusedStepper
     }
 
   private:
-    template <bool WithProfile, bool Track>
-    void
-    runSites(Count from, Count to, SimStats &stats,
-             ProfileDb *profile)
-    {
-        switch (policy) {
-          case ShiftPolicy::NoShift:
-            runReplayCombinedSites<WithProfile, Track,
-                                   ShiftPolicy::NoShift>(
-                concrete, hintCode.data(), siteOf, buffer, from, to,
-                stats, profile);
-            break;
-          case ShiftPolicy::ShiftOutcome:
-            runReplayCombinedSites<WithProfile, Track,
-                                   ShiftPolicy::ShiftOutcome>(
-                concrete, hintCode.data(), siteOf, buffer, from, to,
-                stats, profile);
-            break;
-          case ShiftPolicy::ShiftPrediction:
-            runReplayCombinedSites<WithProfile, Track,
-                                   ShiftPolicy::ShiftPrediction>(
-                concrete, hintCode.data(), siteOf, buffer, from, to,
-                stats, profile);
-            break;
-        }
-    }
-
     P &concrete;
     const HintDb *hints;
     ShiftPolicy policy;
-    const SiteIndex *sites;
-    const std::uint32_t *siteOf = nullptr;
     std::vector<std::uint8_t> hintCode;
     DenseProfile dense;
     bool useDense = false;
@@ -796,10 +714,11 @@ template <bool Track, ShiftPolicy Policy, std::size_t N, typename P>
 void
 runReplayGang(P *const *predictors,
               const std::uint8_t *const *hint_codes,
-              SimStats *const *stats, const std::uint32_t *site_of,
-              const ReplayBuffer &buffer, Count start, Count end)
+              SimStats *const *stats, const ReplayBuffer &buffer,
+              Count start, Count end)
 {
-    const Addr *pcs = buffer.pcData();
+    const std::uint32_t *site_of = buffer.siteData();
+    const Addr *site_pcs = buffer.sitePcs();
     const std::uint32_t *packed = buffer.packedData();
 
     // Hoist the member state and keep the counters in locals: with N
@@ -819,11 +738,11 @@ runReplayGang(P *const *predictors,
     Count static_mispredicted[N]{};
 
     for (Count i = start; i < end; ++i) {
-        const Addr pc = pcs[i];
+        const std::uint32_t site = site_of[i];
+        const Addr pc = site_pcs[site];
         const std::uint32_t word = packed[i];
         const bool taken = (word & ReplayBuffer::packedTakenBit) != 0;
         const std::uint32_t gap = word & ~ReplayBuffer::packedTakenBit;
-        const std::uint32_t site = site_of[i];
         ++branches;
         instructions += gap;
 
@@ -888,10 +807,9 @@ class GangStepper final : public FusedExec
     };
 
     GangStepper(std::vector<Member> gang_members,
-                const ReplayBuffer &buffer, const SiteIndex *sites,
-                ShiftPolicy policy, bool track)
+                const ReplayBuffer &buffer, ShiftPolicy policy, bool track)
         : members(std::move(gang_members)), buffer(buffer),
-          siteOf(sites->siteData()), policy(policy), track(track),
+          policy(policy), track(track),
           warmupStats(members.size())
     {
         const Count total = buffer.size();
@@ -917,8 +835,8 @@ class GangStepper final : public FusedExec
         if (kernels.gang != nullptr) {
             memberTables.reserve(members.size());
             for (const Member &member : members) {
-                memberTables.push_back(batch::buildSiteTables(
-                    *member.concrete, *sites));
+                memberTables.push_back(
+                    batch::buildSiteTables(*member.concrete, buffer));
             }
             for (const batch::SiteTables &tables : memberTables)
                 tablePtrs.push_back(&tables);
@@ -986,7 +904,6 @@ class GangStepper final : public FusedExec
             args.stats = stats.data();
             args.n = members.size();
             args.buffer = &buffer;
-            args.siteOf = siteOf;
             args.from = from;
             args.to = to;
             args.policy = policy;
@@ -1020,19 +937,18 @@ class GangStepper final : public FusedExec
               case ShiftPolicy::NoShift:
                 runReplayGang<kTrack, ShiftPolicy::NoShift, kN>(
                     predictors.data() + offset, codes.data() + offset,
-                    stats + offset, siteOf, buffer, from, to);
+                    stats + offset, buffer, from, to);
                 break;
               case ShiftPolicy::ShiftOutcome:
                 runReplayGang<kTrack, ShiftPolicy::ShiftOutcome, kN>(
                     predictors.data() + offset, codes.data() + offset,
-                    stats + offset, siteOf, buffer, from, to);
+                    stats + offset, buffer, from, to);
                 break;
               case ShiftPolicy::ShiftPrediction:
                 runReplayGang<kTrack, ShiftPolicy::ShiftPrediction,
                               kN>(predictors.data() + offset,
                                   codes.data() + offset,
-                                  stats + offset, siteOf, buffer, from,
-                                  to);
+                                  stats + offset, buffer, from, to);
                 break;
             }
         };
@@ -1064,7 +980,6 @@ class GangStepper final : public FusedExec
 
     std::vector<Member> members;
     const ReplayBuffer &buffer;
-    const std::uint32_t *siteOf;
     ShiftPolicy policy;
     bool track;
     Count warmupEnd = 0;
@@ -1184,9 +1099,11 @@ void
 simulateReplayFused(std::vector<FusedSim> &sims,
                     const ReplayBuffer &buffer, const SiteIndex *sites)
 {
+    // The buffer carries its own sites; an index passed alongside
+    // can only be a view of them.
     if (sites != nullptr)
-        bpsim_assert(sites->size() == buffer.size(),
-                     "site index does not match the replay buffer");
+        bpsim_assert(sites->siteData() == buffer.siteData(),
+                     "site index does not view the replay buffer");
 
     // Dispatch each sim once (kernel vs virtual, hinted vs dynamic),
     // exactly as simulateReplay() would, and reset its predictor.
@@ -1225,7 +1142,7 @@ simulateReplayFused(std::vector<FusedSim> &sims,
                 using Concrete = std::decay_t<decltype(concrete)>;
                 stepper = std::make_unique<KernelStepper<Concrete>>(
                     sim, buffer, concrete, resolved[s].hints,
-                    resolved[s].policy, sites);
+                    resolved[s].policy);
             });
         }
         if (stepper == nullptr)
@@ -1256,7 +1173,7 @@ simulateReplayFused(std::vector<FusedSim> &sims,
                               : sim.predictor;
 
         bool planned = false;
-        if (sim.options.fastPath && sites != nullptr &&
+        if (sim.options.fastPath &&
             sim.options.profile == nullptr) {
             visitPredictor(*resolved[s].dyn, [&](auto &concrete) {
                 const std::type_index type(typeid(concrete));
@@ -1313,23 +1230,15 @@ simulateReplayFused(std::vector<FusedSim> &sims,
                     member.sim = &sims[s];
                     member.concrete =
                         &dynamic_cast<Concrete &>(*resolved[s].dyn);
-                    member.hintCode.assign(sites->siteCount(), 0);
-                    if (resolved[s].hints != nullptr) {
-                        for (std::uint32_t site = 0;
-                             site < sites->siteCount(); ++site) {
-                            bool taken = false;
-                            if (resolved[s].hints->lookup(
-                                    sites->sitePc(site), taken)) {
-                                member.hintCode[site] =
-                                    hintPresentBit |
-                                    (taken ? hintTakenBit : 0);
-                            }
-                        }
-                    }
+                    member.hintCode =
+                        resolved[s].hints != nullptr
+                            ? hintCodesFor(*resolved[s].hints, buffer)
+                            : std::vector<std::uint8_t>(
+                                  buffer.siteCount(), 0);
                     members.push_back(std::move(member));
                 }
                 execs.push_back(std::make_unique<Gang>(
-                    std::move(members), buffer, sites, plan.policy,
+                    std::move(members), buffer, plan.policy,
                     plan.track));
             });
     }

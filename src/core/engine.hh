@@ -76,7 +76,7 @@ struct SimOptions
      * (core/batch_kernels.hh). When clear — or when BPSIM_SIMD=off
      * overrides — the record-at-a-time kernels run instead; results
      * are bit-identical either way. Honoured only where a batched
-     * path exists (plain dynamic sims; with a site index also gangs,
+     * path exists (plain dynamic sims; in fused passes also gangs,
      * hinted sims and dense-profile sims, scenario evaluations
      * included); other shapes silently use the record-at-a-time
      * kernels.
@@ -167,11 +167,10 @@ struct FusedSim
  * honoured per sim, and the same kernel-vs-virtual dispatch applies
  * (per sim, reported in FusedSim::usedFastPath).
  *
- * @p sites optionally carries the buffer's site enumeration, letting
- * the pass flatten per-record static-hint hash lookups and per-branch
- * profile accumulation onto dense site-indexed arrays. Pure
- * acceleration: results are identical with or without it. When given
- * it must have been built from @p buffer.
+ * Hint lookups and per-branch profile accumulation run on dense
+ * arrays indexed by the buffer's site ids. @p sites is accepted for
+ * source compatibility only: when given it must be a view of
+ * @p buffer's own sites (SiteIndex::build(buffer)).
  */
 void simulateReplayFused(std::vector<FusedSim> &sims,
                          const ReplayBuffer &buffer,

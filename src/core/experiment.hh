@@ -210,8 +210,9 @@ struct FusedProfileOutcome
 /**
  * Run the profiling phases of several configs over one shared buffer
  * in a single fused pass (simulateReplayFused). Each outcome is
- * bit-identical to runProfilePhaseReplay() of the matching config;
- * @p sites optionally accelerates the pass (see SiteIndex).
+ * bit-identical to runProfilePhaseReplay() of the matching config.
+ * @p sites, if given, must view @p profile_buffer's own sites (see
+ * simulateReplayFused).
  */
 std::vector<FusedProfileOutcome> runProfilePhasesFusedReplay(
     const ReplayBuffer &profile_buffer,

@@ -1038,28 +1038,6 @@ ExperimentRunner::run()
         phase_exec = std::move(still_exec);
     }
 
-    // One lazily built SiteIndex per materialized buffer, shared
-    // read-only by every fused pass over that buffer. call_once makes
-    // the concurrent chunks of one group race-free; a site index is
-    // pure acceleration, so results do not depend on who built it.
-    struct SiteSlot
-    {
-        std::once_flag once;
-        std::unique_ptr<SiteIndex> index;
-    };
-    std::vector<std::array<SiteSlot, numInputSets>> site_slots(
-        programs.size());
-    const auto siteFor = [&](std::size_t program_index,
-                             InputSet input) -> const SiteIndex * {
-        SiteSlot &slot =
-            site_slots[program_index][static_cast<unsigned>(input)];
-        std::call_once(slot.once, [&] {
-            ScopedTimer timer(timers, "runner.site_index");
-            slot.index = std::make_unique<SiteIndex>(
-                SiteIndex::build(buffer(program_index, input)));
-        });
-        return slot.index.get();
-    };
     const auto groupLabel = [&](const FusedGroupPlan &chunk) {
         return programs[chunk.programIndex]->name() + "/" +
                inputSetName(chunk.input);
@@ -1118,8 +1096,7 @@ ExperimentRunner::run()
         std::optional<Error> pass_failure = attemptWithRetries(
             options.retries, pass_attempts, [&] {
                 outcomes = runProfilePhasesFusedReplay(
-                    buffer(chunk.programIndex, chunk.input), configs,
-                    siteFor(chunk.programIndex, chunk.input));
+                    buffer(chunk.programIndex, chunk.input), configs);
             });
         const double wall = timer.stop();
         if (pass_failure.has_value()) {
@@ -1666,9 +1643,7 @@ ExperimentRunner::run()
         unsigned pass_attempts = 0;
         std::optional<Error> pass_failure = attemptWithRetries(
             options.retries, pass_attempts, [&] {
-                simulateReplayFused(
-                    sims, eval_buffer,
-                    siteFor(chunk.programIndex, chunk.input));
+                simulateReplayFused(sims, eval_buffer);
             });
         const double pass_wall = pass_timer.stop();
         if (pass_failure.has_value()) {

@@ -102,6 +102,11 @@ ScenarioWorkload::ScenarioWorkload(ScenarioSpec spec,
         identity += "|" + std::to_string(member.seedValue());
     seedHash = fnv1a64(identity);
 
+    for (const SyntheticProgram &member : members) {
+        siteBase.push_back(totalSites);
+        totalSites += member.siteCount();
+    }
+
     if (!members.empty())
         popularity = std::make_unique<Rng::Zipf>(
             members.size(), scenarioSpec.zipfExponent);
@@ -139,12 +144,20 @@ ScenarioWorkload::scheduleNext()
 bool
 ScenarioWorkload::next(BranchRecord &record)
 {
+    std::uint32_t site = 0;
+    return nextSite(record, site);
+}
+
+bool
+ScenarioWorkload::nextSite(BranchRecord &record, std::uint32_t &site)
+{
     if (members.empty())
         return false;
     const std::size_t ctx = scheduleNext();
-    if (!members[ctx].next(record))
+    if (!members[ctx].nextSite(record, site))
         return false;
     record.pc += contextPcBase(ctx);
+    site += siteBase[ctx];
     return true;
 }
 

@@ -94,6 +94,13 @@ class ScenarioWorkload : public WorkloadSource
 
     bool next(BranchRecord &record) override;
     void reset() override;
+
+    /** Member sites, numbered member by member (context k's numbers
+     * start after those of contexts 0..k-1). */
+    std::uint32_t siteCount() const override { return totalSites; }
+
+    bool nextSite(BranchRecord &record, std::uint32_t &site) override;
+
     void setInput(InputSet input) override;
     InputSet input() const override;
     const std::string &name() const override { return scenarioName; }
@@ -120,6 +127,10 @@ class ScenarioWorkload : public WorkloadSource
     std::vector<SyntheticProgram> members;
     std::string scenarioName;
     std::uint64_t seedHash;
+
+    /** First site number of each member context. */
+    std::vector<std::uint32_t> siteBase;
+    std::uint32_t totalSites = 0;
 
     // Interleave state, reset() restores all of it.
     std::size_t currentCtx = 0;

@@ -48,26 +48,45 @@ sendLine(int fd, const std::string &line)
     return sendAll(fd, line + "\n");
 }
 
-/** Pull one newline-terminated line out of @p buffer, recv()ing more
- * as needed; false on EOF or a socket error. */
-bool
-readLineFd(int fd, std::string &buffer, std::string &line)
+/** What readLineFd() produced. */
+enum class LineRead
+{
+    Line,    ///< a complete line
+    Closed,  ///< EOF or a socket error
+    TooLong, ///< the line outgrew maxRequestLineBytes
+};
+
+/**
+ * Pull one newline-terminated line out of @p buffer, recv()ing more
+ * as needed. @p scanned carries how much of @p buffer is known to
+ * hold no newline, so each byte is searched once however the line
+ * arrives.
+ */
+LineRead
+readLineFd(int fd, std::string &buffer, std::size_t &scanned,
+           std::string &line)
 {
     while (true) {
-        const std::size_t newline = buffer.find('\n');
+        const std::size_t newline = buffer.find('\n', scanned);
         if (newline != std::string::npos) {
-            line = buffer.substr(0, newline);
+            if (newline > maxRequestLineBytes)
+                return LineRead::TooLong;
+            line.assign(buffer, 0, newline);
             buffer.erase(0, newline + 1);
-            return true;
+            scanned = 0;
+            return LineRead::Line;
         }
+        scanned = buffer.size();
+        if (scanned > maxRequestLineBytes)
+            return LineRead::TooLong;
         char chunk[4096];
         const ssize_t got = ::recv(fd, chunk, sizeof(chunk), 0);
         if (got == 0)
-            return false;
+            return LineRead::Closed;
         if (got < 0) {
             if (errno == EINTR)
                 continue;
-            return false;
+            return LineRead::Closed;
         }
         buffer.append(chunk, static_cast<std::size_t>(got));
     }
@@ -732,9 +751,28 @@ void
 ServiceServer::handleConnection(int fd)
 {
     std::string buffer;
+    std::size_t scanned = 0;
     std::string line;
     bool fd_handed_off = false;
-    while (readLineFd(fd, buffer, line)) {
+    while (true) {
+        const LineRead read = readLineFd(fd, buffer, scanned, line);
+        if (read == LineRead::Closed)
+            break;
+        if (read == LineRead::TooLong) {
+            {
+                std::lock_guard<std::mutex> guard(stateLock);
+                ++counters.rejected;
+            }
+            publish(obs::EventKind::RequestRejected, "",
+                    {obs::Field::str("reason", "malformed")});
+            sendLine(fd, renderResponse(errorResponse(
+                             "", Error(ErrorCode::ConfigInvalid,
+                                       "request line exceeds " +
+                                           std::to_string(
+                                               maxRequestLineBytes) +
+                                           " bytes"))));
+            break;
+        }
         if (line.empty())
             continue;
         if (!handleLine(fd, line, fd_handed_off))

@@ -45,6 +45,7 @@
 #define BPSIM_SERVICE_SERVER_HH
 
 #include <atomic>
+#include <cstddef>
 #include <chrono>
 #include <condition_variable>
 #include <deque>
@@ -62,6 +63,14 @@
 
 namespace bpsim::service
 {
+
+/**
+ * Longest request line the daemon buffers, newline excluded. A
+ * client that sends more without a newline gets a config_invalid
+ * reply and the connection closes, so no connection can make the
+ * daemon buffer without bound.
+ */
+inline constexpr std::size_t maxRequestLineBytes = std::size_t{1} << 20;
 
 /** Daemon construction options. */
 struct ServiceOptions

@@ -3,13 +3,20 @@
  * Materialized branch trace optimised for repeated replay.
  *
  * A ReplayBuffer captures a stream's records once into flat,
- * cache-friendly storage (structure-of-arrays: the PC column plus a
- * packed gap/outcome column, 12 bytes per branch) and hands out any
- * number of independent read cursors over it. Experiment matrices
- * that simulate N predictor configurations over the same program
- * replay the buffer N times instead of re-running CFG walking and
- * behaviour evaluation N times, and concurrent cursors make the
- * buffer shareable across worker threads without locking.
+ * cache-friendly storage and hands out any number of independent
+ * read cursors over it. The storage is site-indexed: each record is
+ * a 32-bit site id plus a packed gap/outcome word (8 bytes per
+ * branch), and one site table per buffer maps a site id back to its
+ * branch PC. Site ids are dense (below siteCount()) and assigned in
+ * first-occurrence order, so consumers that keep per-branch state —
+ * static-hint lookups, profile accumulation, per-site index material
+ * — use an array load where they would otherwise hash the PC.
+ *
+ * Experiment matrices that simulate N predictor configurations over
+ * the same program replay the buffer N times instead of re-running
+ * CFG walking and behaviour evaluation N times, and concurrent
+ * cursors make the buffer shareable across worker threads without
+ * locking.
  */
 
 #ifndef BPSIM_TRACE_REPLAY_BUFFER_HH
@@ -30,56 +37,76 @@ class ReplayBuffer
   public:
     ReplayBuffer() = default;
 
+    // The column views must follow the storage they point into, so
+    // copies re-point at their own vectors and moves leave the
+    // source empty.
+    ReplayBuffer(const ReplayBuffer &other);
+    ReplayBuffer &operator=(const ReplayBuffer &other);
+    ReplayBuffer(ReplayBuffer &&other) noexcept;
+    ReplayBuffer &operator=(ReplayBuffer &&other) noexcept;
+
     /**
      * Capture at most @p limit records of @p source, resetting it
      * first so the buffer replays exactly what a fresh run of the
      * source would produce. Instruction gaps must fit in 31 bits
-     * (the taken flag shares their word).
+     * (the taken flag shares their word). A source that numbers its
+     * sites (BranchStream::siteCount()) is enumerated through a
+     * dense array; any other source's PCs are hashed.
      */
     static ReplayBuffer materialize(BranchStream &source, Count limit);
 
     /**
      * Wrap externally owned columns (an artifact-cache mmap) without
-     * copying. The buffer only views @p pc_column / @p packed_column;
-     * @p backing keeps the memory alive for as long as any copy of
-     * the buffer exists (copies share it), so the mapping's lifetime
-     * follows ordinary value semantics. The columns must use the same
-     * encoding materialize() produces.
+     * copying. The buffer only views @p site_column, @p packed_column
+     * and @p site_pcs; @p backing keeps the memory alive for as long
+     * as any copy of the buffer exists (copies share it), so the
+     * mapping's lifetime follows ordinary value semantics. The
+     * columns must use the encoding materialize() produces, and every
+     * site id must be below @p site_count.
      */
     static ReplayBuffer
-    fromColumns(const Addr *pc_column,
+    fromColumns(const std::uint32_t *site_column,
                 const std::uint32_t *packed_column, Count records,
+                const Addr *site_pcs, std::uint32_t site_count,
                 Count instruction_count,
                 std::shared_ptr<const void> backing);
 
     /** Records stored. */
-    Count size() const { return viewPcs ? viewSize : pcs.size(); }
+    Count size() const { return records; }
 
     bool empty() const { return size() == 0; }
 
     /** True when the buffer views external (mapped) storage. */
-    bool mapped() const { return viewPcs != nullptr; }
+    bool mapped() const { return external; }
 
     /** Total dynamic instruction count (sum of gaps). */
     Count instructionCount() const { return instructions; }
 
+    /** Distinct branch sites (static branches) the records touch. */
+    std::uint32_t siteCount() const { return sites; }
+
     /**
      * Bytes of record storage the replay reads (the replay memory
-     * cost). For a mapped buffer these are shared page-cache bytes,
-     * not private allocations.
+     * cost): both record columns plus the site table. For a mapped
+     * buffer these are shared page-cache bytes, not private
+     * allocations.
      */
-    std::size_t memoryBytes() const { return size() * bytesPerBranch; }
+    std::size_t
+    memoryBytes() const
+    {
+        return size() * bytesPerBranch + siteCount() * sizeof(Addr);
+    }
 
-    /** Storage cost per branch in bytes (PC column + gap/taken word). */
+    /** Storage cost per branch in bytes (site id + gap/taken word). */
     static constexpr std::size_t bytesPerBranch =
-        sizeof(Addr) + sizeof(std::uint32_t);
+        sizeof(std::uint32_t) + sizeof(std::uint32_t);
 
     /** Fill @p record with record @p index (no bounds check). */
     void
     get(Count index, BranchRecord &record) const
     {
-        record.pc = pcData()[index];
-        const std::uint32_t packed = packedData()[index];
+        record.pc = pcOfSite[siteOf[index]];
+        const std::uint32_t packed = gapTaken[index];
         record.taken = (packed & takenBit) != 0;
         record.instGap = packed & ~takenBit;
     }
@@ -121,90 +148,89 @@ class ReplayBuffer
 
     /**
      * Raw column access for block-iterating consumers (the engine's
-     * devirtualized replay kernels). pcData()[i] pairs with
-     * packedData()[i]: taken = packed & packedTakenBit, instruction
-     * gap = packed & ~packedTakenBit — the same decode get() applies.
+     * devirtualized replay kernels). siteData()[i] pairs with
+     * packedData()[i]: the record's PC is sitePcs()[siteData()[i]],
+     * taken = packed & packedTakenBit, instruction gap = packed &
+     * ~packedTakenBit — the same decode get() applies.
      */
-    const Addr *
-    pcData() const
-    {
-        return viewPcs ? viewPcs : pcs.data();
-    }
+    const std::uint32_t *siteData() const { return siteOf; }
 
-    const std::uint32_t *
-    packedData() const
-    {
-        return viewPacked ? viewPacked : gapTaken.data();
-    }
+    const std::uint32_t *packedData() const { return gapTaken; }
+
+    /** The site table: the PC of every site id. */
+    const Addr *sitePcs() const { return pcOfSite; }
+
+    /** The PC of @p site (no bounds check). */
+    Addr sitePc(std::uint32_t site) const { return pcOfSite[site]; }
 
   private:
     static constexpr std::uint32_t takenBit = packedTakenBit;
 
-    // Owned storage (materialize()): the vectors hold the columns and
-    // the view pointers stay null. Mapped storage (fromColumns()):
-    // the view pointers reference external memory kept alive by
-    // `backing`, and the vectors stay empty. Accessors branch on the
-    // mode once per call; the hot replay kernels fetch pcData() /
-    // packedData() a single time per pass, so the branch never sits
-    // in an inner loop.
-    std::vector<Addr> pcs;
-    std::vector<std::uint32_t> gapTaken;
-    Count instructions = 0;
+    /** Enumeration slot of a site that has no id yet. */
+    static constexpr std::uint32_t unassigned = ~std::uint32_t{0};
 
-    const Addr *viewPcs = nullptr;
-    const std::uint32_t *viewPacked = nullptr;
-    Count viewSize = 0;
+    /** Point the column views at the owned vectors. */
+    void viewOwned();
+
+    /** Take @p other's storage, leaving it an empty buffer. */
+    void steal(ReplayBuffer &other) noexcept;
+
+    // Owned storage (materialize()) lives in the vectors; mapped
+    // storage (fromColumns()) lives in external memory kept alive by
+    // `backing`, with the vectors empty and `external` set. The
+    // column pointers below view whichever holds the data, so
+    // accessors never branch on the mode.
+    std::vector<std::uint32_t> ownSites;
+    std::vector<std::uint32_t> ownPacked;
+    std::vector<Addr> ownPcs;
     std::shared_ptr<const void> backing;
+    bool external = false;
+
+    const std::uint32_t *siteOf = nullptr;
+    const std::uint32_t *gapTaken = nullptr;
+    const Addr *pcOfSite = nullptr;
+    Count records = 0;
+    std::uint32_t sites = 0;
+    Count instructions = 0;
 };
 
 /**
  * Dense enumeration of a buffer's distinct branch sites (static
- * branches). Site ids are assigned in first-occurrence order, so
- * siteData()[i] maps record i to a small integer < siteCount() and
- * sitePc() inverts the mapping.
+ * branches): siteData()[i] maps record i to a small integer below
+ * siteCount(), assigned in first-occurrence order, and sitePc()
+ * inverts the mapping.
  *
- * Built once per buffer and shared read-only, a site index lets
- * consumers that would otherwise hash the PC column per record — the
- * fused sweep executor's static-hint lookups and per-branch profile
- * accumulation — replace the hash with an L1-resident array load.
- * The index is pure acceleration: it carries no information beyond
- * the PC column itself, so results never depend on it.
+ * A SiteIndex is an O(1) view of the site column and site table
+ * every ReplayBuffer carries; it stays valid for as long as the
+ * buffer's storage does. It exists so callers that pass an index
+ * alongside a buffer keep compiling: the engine reads the sites from
+ * the buffer itself.
  */
 class SiteIndex
 {
   public:
     SiteIndex() = default;
 
-    /** Enumerate the sites of @p buffer (one pass over its records). */
+    /** View the sites of @p buffer (no pass over its records). */
     static SiteIndex build(const ReplayBuffer &buffer);
 
     /** Distinct branch sites seen. */
-    std::uint32_t
-    siteCount() const
-    {
-        return static_cast<std::uint32_t>(pcs.size());
-    }
+    std::uint32_t siteCount() const { return sites; }
 
     /** Per-record site ids, parallel to the buffer's columns. */
-    const std::uint32_t *siteData() const { return siteOf.data(); }
+    const std::uint32_t *siteData() const { return siteOf; }
 
     /** The PC of @p site (no bounds check). */
     Addr sitePc(std::uint32_t site) const { return pcs[site]; }
 
-    /** Records the index covers (the buffer's size at build time). */
-    Count size() const { return siteOf.size(); }
-
-    /** Bytes held by the index. */
-    std::size_t
-    memoryBytes() const
-    {
-        return siteOf.size() * sizeof(std::uint32_t) +
-               pcs.size() * sizeof(Addr);
-    }
+    /** Records the index covers (the buffer's size). */
+    Count size() const { return records; }
 
   private:
-    std::vector<std::uint32_t> siteOf;
-    std::vector<Addr> pcs;
+    const std::uint32_t *siteOf = nullptr;
+    const Addr *pcs = nullptr;
+    Count records = 0;
+    std::uint32_t sites = 0;
 };
 
 } // namespace bpsim

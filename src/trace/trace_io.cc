@@ -68,9 +68,9 @@ TraceWriter::write(const BranchRecord &record)
 {
     bpsim_assert(file != nullptr, "write to closed TraceWriter");
     bpsim_assert(record.instGap >= 1, "instGap must be >= 1");
-    const std::int64_t delta =
-        static_cast<std::int64_t>(record.pc) -
-        static_cast<std::int64_t>(lastPc);
+    // Wrapping unsigned difference, read as two's complement: PCs
+    // more than 2^63 apart would overflow a signed subtraction.
+    const auto delta = static_cast<std::int64_t>(record.pc - lastPc);
     putVarint(zigzagEncode(delta));
     putVarint((static_cast<std::uint64_t>(record.instGap) << 1) |
               (record.taken ? 1 : 0));
@@ -154,7 +154,7 @@ TraceReader::next(BranchRecord &record)
     if (!getVarint(gap_bits))
         bpsim_fatal("trace '", path, "' ends mid-record");
     const std::int64_t delta = zigzagDecode(delta_bits);
-    lastPc = static_cast<Addr>(static_cast<std::int64_t>(lastPc) + delta);
+    lastPc += static_cast<Addr>(delta); // wraps, as the writer did
     record.pc = lastPc;
     record.taken = (gap_bits & 1) != 0;
     record.instGap = static_cast<std::uint32_t>(gap_bits >> 1);

@@ -45,6 +45,12 @@ struct BranchSite
      * that other correlated branches read.
      */
     bool semantic = false;
+
+    /**
+     * Dense site number within the owning program; SyntheticProgram
+     * assigns it and reports it through BranchStream::nextSite().
+     */
+    std::uint32_t number = 0;
 };
 
 struct Block;

@@ -22,7 +22,21 @@ SyntheticProgram::SyntheticProgram(std::string name,
     bpsim_assert(mean_schedule_len >= 1, "empty schedule");
     bpsim_assert(mean_schedule_repeats >= 1.0, "bad repeat mean");
     bpsim_assert(!this->regions.empty(), "program with no regions");
+    numberSites();
     reset();
+}
+
+void
+SyntheticProgram::numberSites()
+{
+    // Site PCs are unique across a program (BranchSite::pc), so each
+    // site's position in the walk is a valid number for its PC.
+    numberedSites = 0;
+    for (auto &region : regions) {
+        forEachSite(region.body, [this](BranchSite &site) {
+            site.number = numberedSites++;
+        });
+    }
 }
 
 void
@@ -94,6 +108,7 @@ SyntheticProgram::emit(BranchSite &site, BranchRecord &record)
 
     record.pc = site.pc;
     record.taken = taken;
+    lastSite = site.number;
     // Jitter the gap by -1/0/+1 around the mean, floor at 1.
     const std::uint32_t jitter =
         static_cast<std::uint32_t>(execRng.nextBelow(3));
@@ -105,8 +120,8 @@ SyntheticProgram::emit(BranchSite &site, BranchRecord &record)
         semanticHistory = (semanticHistory << 1) | (taken ? 1 : 0);
 }
 
-bool
-SyntheticProgram::next(BranchRecord &record)
+inline bool
+SyntheticProgram::walk(BranchRecord &record)
 {
     for (;;) {
         if (stack.empty()) {
@@ -171,6 +186,20 @@ SyntheticProgram::next(BranchRecord &record)
         // Region finished; pick a new one on the next iteration.
         stack.pop_back();
     }
+}
+
+bool
+SyntheticProgram::next(BranchRecord &record)
+{
+    return walk(record);
+}
+
+bool
+SyntheticProgram::nextSite(BranchRecord &record, std::uint32_t &site)
+{
+    const bool produced = walk(record);
+    site = lastSite;
+    return produced;
 }
 
 namespace

@@ -48,6 +48,12 @@ class SyntheticProgram : public WorkloadSource
     bool next(BranchRecord &record) override;
     void reset() override;
 
+    /** Static branch sites, loop controls included (the site
+     * numbers nextSite() reports lie below it). */
+    std::uint32_t siteCount() const override { return numberedSites; }
+
+    bool nextSite(BranchRecord &record, std::uint32_t &site) override;
+
     /** Switch input set (also resets execution state). */
     void setInput(InputSet input) override;
 
@@ -88,8 +94,14 @@ class SyntheticProgram : public WorkloadSource
     /** Evaluate @p site, fill @p record, update global history. */
     void emit(BranchSite &site, BranchRecord &record);
 
+    /** Produce the next record (the body of next() and nextSite()). */
+    bool walk(BranchRecord &record);
+
     /** Rebuild the region sampler for the current input. */
     void rebuildSampler();
+
+    /** Assign every site its dense number. */
+    void numberSites();
 
     std::string programName;
     std::vector<Region> regions;
@@ -101,6 +113,8 @@ class SyntheticProgram : public WorkloadSource
     std::vector<Frame> stack;
     std::uint64_t globalHistory = 0;
     std::uint64_t semanticHistory = 0;
+    std::uint32_t numberedSites = 0;
+    std::uint32_t lastSite = 0;
 
     // Phase structure: the current region schedule and its position.
     unsigned meanScheduleLen;

@@ -1,11 +1,13 @@
 /**
  * @file
  * Artifact-cache format tests: key construction, replay/profile
- * round-trips through the mmap'd on-disk format, and a deterministic
- * corruption sweep proving every header or key byte is covered by the
- * checksum. The format is frozen at v1, so the surgical tests below
- * replicate the 64-byte header layout on purpose — a layout change
- * must bump the version and add a new suite, not edit this one.
+ * round-trips through the mmap'd on-disk format, and deterministic
+ * corruption sweeps proving every header or key byte is covered by
+ * the checksum. Both kinds share one 64-byte header, replicated here
+ * on purpose so a layout change cannot slip through unnoticed: the
+ * profile format is frozen at v1, the replay format at v2 (site-id
+ * column, packed column, site table; the ReplayV2 suite). A layout
+ * change must bump the version and add a new suite, not edit these.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +20,7 @@
 #include <vector>
 
 #include "cache/artifact_cache.hh"
+#include "core/runner.hh"
 #include "support/bits.hh"
 #include "support/error.hh"
 #include "support/mmap_file.hh"
@@ -29,7 +32,8 @@ namespace bpsim
 namespace
 {
 
-/** Replica of the frozen v1 on-disk header (see artifact_cache.cc). */
+/** Replica of the frozen on-disk header (see artifact_cache.cc);
+ * `reserved` holds the site-table length of a v2 replay file. */
 struct HeaderV1
 {
     char magic[8];
@@ -162,7 +166,8 @@ TEST(ArtifactCacheTest, ReplayRoundTripIsBitIdentical)
     const ArtifactCacheStats stats = cache.stats();
     EXPECT_EQ(stats.replayHits, 1u);
     EXPECT_EQ(stats.mappedBytes,
-              records * ReplayBuffer::bytesPerBranch);
+              records * ReplayBuffer::bytesPerBranch +
+                  original.siteCount() * sizeof(Addr));
 }
 
 TEST(ArtifactCacheTest, MappedBufferOutlivesTheCache)
@@ -372,6 +377,273 @@ TEST(ArtifactCacheTest, KeyCollisionDegradesToAnError)
         cache.loadProfile(key_b);
     ASSERT_FALSE(loaded.ok());
     EXPECT_EQ(loaded.error().code(), ErrorCode::IoFailure);
+}
+
+/** Re-sign @p header over @p key after a deliberate edit. */
+void
+resign(HeaderV1 &header, const std::string &key)
+{
+    header.headerHash = 0;
+    std::string signed_bytes(reinterpret_cast<const char *>(&header),
+                             sizeof(header));
+    signed_bytes += key;
+    header.headerHash = fnv1a64(signed_bytes);
+}
+
+/** A stored v2 replay artifact and the buffer it was written from. */
+struct StoredReplay
+{
+    ReplayBuffer original;
+    std::string key;
+    std::string path;
+    std::vector<char> bytes;
+};
+
+StoredReplay
+storeSampleReplay(ArtifactCache &cache, Count records)
+{
+    StoredReplay stored;
+    SyntheticProgram program =
+        makeSpecProgram(SpecProgram::Compress, InputSet::Ref);
+    stored.original = ReplayBuffer::materialize(program, records);
+    stored.key = replayArtifactKey("compress", 2000, 1, records);
+    EXPECT_TRUE(cache.storeReplay(stored.key, stored.original).ok());
+    stored.path = cache.replayPath(stored.key);
+    stored.bytes = readFile(stored.path);
+    return stored;
+}
+
+TEST(ReplayV2Test, MappedBufferEqualsMaterializedColumnForColumn)
+{
+    constexpr Count records = 5000;
+    ArtifactCache cache(freshDir("cache_v2_columns"));
+    const StoredReplay stored = storeSampleReplay(cache, records);
+    const ReplayBuffer &original = stored.original;
+
+    // On-disk layout: header, key, 64-byte-aligned site column, packed
+    // column, site table.
+    HeaderV1 header;
+    std::memcpy(&header, stored.bytes.data(), sizeof(header));
+    EXPECT_EQ(header.version, 2u);
+    EXPECT_EQ(header.reserved, original.siteCount());
+    EXPECT_EQ(header.payloadOffset % 64, 0u);
+    EXPECT_EQ(header.fileBytes,
+              header.payloadOffset + records * 8 +
+                  original.siteCount() * sizeof(Addr));
+    EXPECT_EQ(stored.bytes.size(), header.fileBytes);
+
+    Result<ArtifactCache::ReplayLookup> loaded =
+        cache.loadReplay(stored.key);
+    ASSERT_TRUE(loaded.ok());
+    ASSERT_TRUE(loaded.value().hit);
+    const ReplayBuffer &mapped = loaded.value().buffer;
+    EXPECT_TRUE(mapped.mapped());
+    ASSERT_EQ(mapped.size(), original.size());
+    ASSERT_EQ(mapped.siteCount(), original.siteCount());
+    EXPECT_EQ(mapped.instructionCount(), original.instructionCount());
+    EXPECT_EQ(mapped.memoryBytes(), original.memoryBytes());
+    EXPECT_EQ(std::memcmp(mapped.siteData(), original.siteData(),
+                          records * sizeof(std::uint32_t)),
+              0);
+    EXPECT_EQ(std::memcmp(mapped.packedData(), original.packedData(),
+                          records * sizeof(std::uint32_t)),
+              0);
+    EXPECT_EQ(std::memcmp(mapped.sitePcs(), original.sitePcs(),
+                          original.siteCount() * sizeof(Addr)),
+              0);
+    // The columns sit in the mapping exactly where the layout says.
+    const char *payload =
+        static_cast<const char *>(static_cast<const void *>(
+            mapped.siteData()));
+    EXPECT_EQ(static_cast<const void *>(payload + records * 4),
+              static_cast<const void *>(mapped.packedData()));
+    EXPECT_EQ(static_cast<const void *>(payload + records * 8),
+              static_cast<const void *>(mapped.sitePcs()));
+}
+
+TEST(ReplayV2Test, TruncatedReplayFilesAreStructuredErrors)
+{
+    constexpr Count records = 700;
+    ArtifactCache cache(freshDir("cache_v2_truncate"));
+    const StoredReplay stored = storeSampleReplay(cache, records);
+    const std::vector<char> &intact = stored.bytes;
+    HeaderV1 header;
+    std::memcpy(&header, intact.data(), sizeof(header));
+    const std::size_t payload = header.payloadOffset;
+
+    // Every truncation point must be rejected: shorter than the
+    // header, header-only, mid-key, mid site column, at the column
+    // boundary, mid packed column, at the table and mid site table.
+    for (const std::size_t keep :
+         {std::size_t{0}, std::size_t{17}, sizeof(HeaderV1) - 1,
+          sizeof(HeaderV1), sizeof(HeaderV1) + stored.key.size() / 2,
+          payload, payload + records * 2, payload + records * 4,
+          payload + records * 6, payload + records * 8,
+          intact.size() - 4, intact.size() - 1}) {
+        ASSERT_LT(keep, intact.size());
+        std::vector<char> cut(intact.begin(),
+                              intact.begin() +
+                                  static_cast<std::ptrdiff_t>(keep));
+        writeFile(stored.path, cut);
+        const Result<ArtifactCache::ReplayLookup> loaded =
+            cache.loadReplay(stored.key);
+        ASSERT_FALSE(loaded.ok()) << "kept " << keep << " bytes";
+        EXPECT_EQ(loaded.error().code(), ErrorCode::IoFailure);
+    }
+
+    // An oversized file is equally corrupt.
+    std::vector<char> padded = intact;
+    padded.push_back('x');
+    writeFile(stored.path, padded);
+    EXPECT_FALSE(cache.loadReplay(stored.key).ok());
+
+    // Restoring the original bytes restores the hit.
+    writeFile(stored.path, intact);
+    const Result<ArtifactCache::ReplayLookup> healed =
+        cache.loadReplay(stored.key);
+    ASSERT_TRUE(healed.ok());
+    EXPECT_TRUE(healed.value().hit);
+    EXPECT_GE(cache.stats().corrupt, 13u);
+}
+
+TEST(ReplayV2Test, EveryReplayHeaderAndKeyByteFlipIsDetected)
+{
+    ArtifactCache cache(freshDir("cache_v2_flip"));
+    const StoredReplay stored = storeSampleReplay(cache, 300);
+    const std::vector<char> &intact = stored.bytes;
+
+    // Flipping any single byte of the header (the site-table length
+    // included) or the stored key must fail validation.
+    for (std::size_t i = 0; i < sizeof(HeaderV1) + stored.key.size();
+         ++i) {
+        std::vector<char> mutated = intact;
+        mutated[i] = static_cast<char>(mutated[i] ^ 0x5a);
+        writeFile(stored.path, mutated);
+        const Result<ArtifactCache::ReplayLookup> loaded =
+            cache.loadReplay(stored.key);
+        ASSERT_FALSE(loaded.ok()) << "flipped byte " << i;
+        EXPECT_EQ(loaded.error().code(), ErrorCode::IoFailure)
+            << "flipped byte " << i;
+    }
+}
+
+TEST(ReplayV2Test, SiteIdPastTheTableIsRejected)
+{
+    constexpr Count records = 400;
+    ArtifactCache cache(freshDir("cache_v2_stray"));
+    const StoredReplay stored = storeSampleReplay(cache, records);
+    HeaderV1 header;
+    std::memcpy(&header, stored.bytes.data(), sizeof(header));
+
+    // The payload is not checksummed, but a site id at or past the
+    // table length would make every replay read out of bounds.
+    std::vector<char> bytes = stored.bytes;
+    const std::uint32_t stray = header.reserved;
+    std::memcpy(bytes.data() + header.payloadOffset + (records - 1) * 4,
+                &stray, sizeof(stray));
+    writeFile(stored.path, bytes);
+    const Result<ArtifactCache::ReplayLookup> loaded =
+        cache.loadReplay(stored.key);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.error().code(), ErrorCode::IoFailure);
+}
+
+/**
+ * Rewrite the v2 replay file at @p path in the retired v1 layout
+ * (PC column + packed column, version 1), validly signed.
+ */
+void
+downgradeToV1(const std::string &path)
+{
+    const std::vector<char> v2 = readFile(path);
+    HeaderV1 header;
+    std::memcpy(&header, v2.data(), sizeof(header));
+    ASSERT_EQ(header.version, 2u);
+    const std::string key(v2.data() + sizeof(header), header.keyBytes);
+    const char *payload = v2.data() + header.payloadOffset;
+    const Count records = header.records;
+    std::vector<Addr> site_pcs(header.reserved);
+    std::memcpy(site_pcs.data(), payload + records * 8,
+                site_pcs.size() * sizeof(Addr));
+
+    std::vector<char> v1(v2.begin(),
+                         v2.begin() + static_cast<std::ptrdiff_t>(
+                                          header.payloadOffset));
+    for (Count i = 0; i < records; ++i) {
+        std::uint32_t site = 0;
+        std::memcpy(&site, payload + i * 4, sizeof(site));
+        const Addr pc = site_pcs.at(site);
+        const char *raw = reinterpret_cast<const char *>(&pc);
+        v1.insert(v1.end(), raw, raw + sizeof(pc));
+    }
+    v1.insert(v1.end(), payload + records * 4, payload + records * 8);
+
+    header.version = 1;
+    header.reserved = 0;
+    header.fileBytes = header.payloadOffset + records * 12;
+    resign(header, key);
+    std::memcpy(v1.data(), &header, sizeof(header));
+    writeFile(path, v1);
+}
+
+TEST(ReplayV2Test, V1ReplayFileIsRejectedAndHealed)
+{
+    const std::string cache_dir = freshDir("cache_v2_heal");
+    const auto run = [&] {
+        RunnerOptions options;
+        options.threads = 1;
+        options.cacheDir = cache_dir;
+        ExperimentRunner runner(options);
+        const std::size_t program = runner.addProgram(
+            makeSpecProgram(SpecProgram::Compress, InputSet::Ref));
+        ExperimentConfig config;
+        config.kind = PredictorKind::Gshare;
+        config.sizeBytes = 2048;
+        config.scheme = StaticScheme::None;
+        config.evalBranches = 20'000;
+        runner.addCell(program, config, "compress/gshare");
+        return runner.run();
+    };
+    const MatrixResult cold = run();
+    ASSERT_EQ(cold.failedCells, 0u);
+
+    std::vector<std::string> artifacts;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(cache_dir)) {
+        if (entry.path().extension() == ".bprc")
+            artifacts.push_back(entry.path().string());
+    }
+    ASSERT_EQ(artifacts.size(), 1u);
+    downgradeToV1(artifacts.front());
+
+    // The v1 file is refused by its version, never misparsed...
+    ArtifactCache probe(cache_dir);
+    const SyntheticProgram compress =
+        makeSpecProgram(SpecProgram::Compress, InputSet::Ref);
+    const std::string key = replayArtifactKey(
+        compress.name(), compress.seedValue(),
+        static_cast<unsigned>(InputSet::Ref), 20'000);
+    ASSERT_EQ(probe.replayPath(key), artifacts.front());
+    const Result<ArtifactCache::ReplayLookup> refused =
+        probe.loadReplay(key);
+    ASSERT_FALSE(refused.ok());
+    EXPECT_NE(refused.error().message().find("version"),
+              std::string::npos);
+
+    // ...and a run over it regenerates bit-identical results and
+    // rewrites the artifact as v2.
+    const MatrixResult warm = run();
+    EXPECT_EQ(warm.failedCells, 0u);
+    EXPECT_GE(warm.cacheCorrupt, 1u);
+    ASSERT_EQ(warm.cells.size(), cold.cells.size());
+    EXPECT_EQ(warm.cells[0].result.stats.mispredictions,
+              cold.cells[0].result.stats.mispredictions);
+    EXPECT_EQ(warm.cells[0].result.stats.collisions.collisions,
+              cold.cells[0].result.stats.collisions.collisions);
+    const Result<ArtifactCache::ReplayLookup> healed =
+        probe.loadReplay(key);
+    ASSERT_TRUE(healed.ok());
+    EXPECT_TRUE(healed.value().hit);
 }
 
 TEST(MmapFileTest, OpenMapsBytesReadOnly)

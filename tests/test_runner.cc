@@ -9,12 +9,20 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
+#include <string>
+#include <unordered_map>
 #include <vector>
 
+#include <unistd.h>
+
 #include "core/runner.hh"
+#include "scenario/scenario.hh"
 #include "trace/memory_trace.hh"
 #include "trace/replay_buffer.hh"
+#include "trace/trace_io.hh"
+#include "workload/kernels.hh"
 #include "workload/specint.hh"
 
 namespace bpsim
@@ -75,8 +83,11 @@ TEST(ReplayBufferTest, RoundTripsRecords)
     EXPECT_EQ(buffer.size(), 3u);
     EXPECT_EQ(buffer.instructionCount(),
               Count{7} + 1 + 0x7fffffff);
+    // Three records over three distinct sites: both record columns
+    // plus one site-table PC per site.
+    EXPECT_EQ(buffer.siteCount(), 3u);
     EXPECT_EQ(buffer.memoryBytes(),
-              3 * ReplayBuffer::bytesPerBranch);
+              3 * ReplayBuffer::bytesPerBranch + 3 * sizeof(Addr));
 
     ReplayBuffer::Cursor cursor = buffer.cursor();
     BranchRecord record;
@@ -121,6 +132,98 @@ TEST(ReplayBufferTest, MatchesRegeneratedProgramStream)
                 << specProgramName(id) << " record " << i;
         }
     }
+}
+
+/**
+ * The site-indexed layout against an independent enumeration: site
+ * ids are the first-occurrence numbering of the source's PCs, the
+ * site table inverts them, and get() returns every record unchanged.
+ * @p source is drained afresh (reset) for the reference pass.
+ */
+void
+expectSiteIndexedCapture(BranchStream &source, Count records,
+                         const std::string &what)
+{
+    const ReplayBuffer buffer = ReplayBuffer::materialize(source, records);
+    ASSERT_EQ(buffer.size(), records) << what;
+
+    source.reset();
+    std::vector<BranchRecord> expected;
+    std::unordered_map<Addr, std::uint32_t> first_seen;
+    std::vector<std::uint32_t> expected_ids;
+    BranchRecord record;
+    while (expected.size() < records && source.next(record)) {
+        expected.push_back(record);
+        const auto fresh = static_cast<std::uint32_t>(first_seen.size());
+        expected_ids.push_back(
+            first_seen.try_emplace(record.pc, fresh).first->second);
+    }
+    ASSERT_EQ(expected.size(), records) << what;
+    EXPECT_EQ(buffer.siteCount(), first_seen.size()) << what;
+
+    const SiteIndex view = SiteIndex::build(buffer);
+    EXPECT_EQ(view.siteData(), buffer.siteData()) << what;
+    EXPECT_EQ(view.siteCount(), buffer.siteCount()) << what;
+    EXPECT_EQ(view.size(), buffer.size()) << what;
+
+    const ReplayBuffer copy = buffer;
+    BranchRecord replayed;
+    BranchRecord copied;
+    for (Count i = 0; i < records; ++i) {
+        const std::uint32_t site = buffer.siteData()[i];
+        ASSERT_EQ(site, expected_ids[i]) << what << " record " << i;
+        ASSERT_EQ(buffer.sitePc(site), expected[i].pc)
+            << what << " record " << i;
+        buffer.get(i, replayed);
+        ASSERT_EQ(replayed, expected[i]) << what << " record " << i;
+        copy.get(i, copied);
+        ASSERT_EQ(copied, expected[i]) << what << " record " << i;
+    }
+}
+
+TEST(ReplayBufferTest, SiteIdsFollowFirstOccurrenceOnEverySource)
+{
+    constexpr Count records = 40'000;
+
+    // A program numbers its own sites (loop controls included).
+    SyntheticProgram program =
+        makeSpecProgram(SpecProgram::Gcc, InputSet::Ref);
+    ASSERT_GT(program.siteCount(), 0u);
+    expectSiteIndexedCapture(program, records, "program");
+
+    // So does every kernel program, whatever order its PCs take.
+    for (const Kernel kernel : allKernels()) {
+        SyntheticProgram loop_kernel = makeKernel(kernel);
+        expectSiteIndexedCapture(loop_kernel, 5'000,
+                                 "kernel " + kernelName(kernel));
+    }
+
+    // A scenario numbers member sites after a per-member base.
+    std::vector<SyntheticProgram> members;
+    members.push_back(makeSpecProgram(SpecProgram::Go, InputSet::Ref));
+    members.push_back(
+        makeSpecProgram(SpecProgram::Compress, InputSet::Ref));
+    members.push_back(makeSpecProgram(SpecProgram::Gcc, InputSet::Ref));
+    ScenarioSpec spec;
+    spec.kind = ScenarioKind::Smt;
+    ScenarioWorkload scenario(spec, std::move(members));
+    ASSERT_GT(scenario.siteCount(), 0u);
+    expectSiteIndexedCapture(scenario, records, "smt scenario");
+
+    // A stored trace carries no numbering: its PCs are hashed.
+    const std::string path =
+        ::testing::TempDir() + "replay_sites_" +
+        std::to_string(::getpid()) + ".trace";
+    {
+        program.reset();
+        BoundedStream bounded(program, records);
+        TraceWriter writer(path);
+        ASSERT_EQ(writer.writeAll(bounded), records);
+    }
+    TraceReader reader(path);
+    EXPECT_EQ(reader.siteCount(), 0u);
+    expectSiteIndexedCapture(reader, records, "trace file");
+    std::remove(path.c_str());
 }
 
 TEST(RunnerTest, ReplayedExperimentIdenticalToRegenerated)

@@ -16,11 +16,16 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <functional>
 #include <future>
 #include <thread>
 #include <vector>
+
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
 
 #include "core/checkpoint.hh"
 #include "core/runner.hh"
@@ -269,6 +274,60 @@ TEST_F(ServiceTest, MalformedRequestsAreStructuredErrors)
         service::compileSweep(bad);
     ASSERT_FALSE(compiled.ok());
     EXPECT_EQ(compiled.error().code(), ErrorCode::ConfigInvalid);
+}
+
+TEST_F(ServiceTest, EndlessRequestLineIsRefusedAndTheDaemonStaysUp)
+{
+    service::ServiceOptions options = makeOptions("endless");
+    service::ServiceServer server(options);
+    ASSERT_TRUE(server.start().ok());
+
+    // A raw client streams 2 MiB with no newline. The daemon stops
+    // buffering at its line cap, answers with a structured error and
+    // closes the connection (so the tail of the send may fail).
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    ASSERT_LT(options.socketPath.size(), sizeof(addr.sun_path));
+    std::memcpy(addr.sun_path, options.socketPath.c_str(),
+                options.socketPath.size() + 1);
+    ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr *>(&addr),
+                        sizeof(addr)),
+              0);
+    const std::string chunk(64 * 1024, 'x');
+    std::size_t sent = 0;
+    while (sent < 2 * service::maxRequestLineBytes) {
+        const ssize_t got =
+            ::send(fd, chunk.data(), chunk.size(), MSG_NOSIGNAL);
+        if (got <= 0)
+            break;
+        sent += static_cast<std::size_t>(got);
+    }
+    EXPECT_GT(sent, service::maxRequestLineBytes);
+    std::string reply;
+    char buffer[4096];
+    while (reply.find('\n') == std::string::npos) {
+        const ssize_t got = ::recv(fd, buffer, sizeof(buffer), 0);
+        if (got <= 0)
+            break;
+        reply.append(buffer, static_cast<std::size_t>(got));
+    }
+    ::close(fd);
+    ASSERT_NE(reply.find('\n'), std::string::npos);
+    Result<service::ServiceResponse> refused =
+        service::parseResponse(reply.substr(0, reply.find('\n')));
+    ASSERT_TRUE(refused.ok());
+    EXPECT_FALSE(refused.value().ok);
+    ASSERT_TRUE(refused.value().failure.has_value());
+    EXPECT_EQ(refused.value().failure->code(), ErrorCode::ConfigInvalid);
+    EXPECT_EQ(server.stats().rejected, 1u);
+
+    // A healthy client is still served.
+    const service::ServiceResponse status =
+        call(options, statusRequest("after-endless"));
+    EXPECT_TRUE(status.ok);
+    EXPECT_EQ(status.state, "listening");
 }
 
 TEST_F(ServiceTest, DaemonResultsMatchBatchModeBitIdentically)

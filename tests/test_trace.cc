@@ -9,6 +9,7 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "support/random.hh"
 #include "trace/memory_trace.hh"
@@ -215,6 +216,30 @@ TEST(BinaryTraceFuzzTest, RandomStreamsRoundTripExactly)
         EXPECT_EQ(replayed.data(), original.data()) << "seed " << seed;
         std::remove(path.c_str());
     }
+}
+
+TEST(BinaryTraceFuzzTest, PcsMoreThanHalfTheSpaceApartRoundTrip)
+{
+    // Consecutive PCs 2^63 or more apart: the delta only fits the
+    // zigzag varint as a wrapping difference, which the writer and
+    // reader must both apply.
+    const std::vector<BranchRecord> records = {
+        {0, true, 1},
+        {0x8000'0000'0000'0000ULL, false, 2},
+        {0, true, 3},
+        {0xffff'ffff'ffff'fffcULL, false, 4},
+        {4, true, 5},
+        {0x8000'0000'0000'0000ULL, true, 6},
+    };
+    const std::string path = tempPath("far_pcs");
+    {
+        TraceWriter writer(path);
+        for (const BranchRecord &record : records)
+            writer.write(record);
+    }
+    TraceReader reader(path);
+    EXPECT_EQ(MemoryTrace::capture(reader).data(), records);
+    std::remove(path.c_str());
 }
 
 TEST(BinaryTraceFuzzTest, ZeroRecordTraceRoundTrips)
